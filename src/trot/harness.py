@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import product
 from pathlib import Path
@@ -235,7 +236,7 @@ def run_task(
     if best is None:
         return AdaptReport(
             spec,
-            error="; ".join(failures) or "no hyperparameters evaluated",
+            error=_join_failures(failures) or "no hyperparameters evaluated",
             timing=time.perf_counter() - start,
         )
 
@@ -255,6 +256,12 @@ def run_task(
         },
     )
     return report
+
+
+def _join_failures(messages: list[str]) -> str:
+    """Distinct messages in first-seen order, a repeated one with its count."""
+    counts = Counter(messages)
+    return "; ".join(msg if n == 1 else f"{msg} (\u00d7{n})" for msg, n in counts.items())
 
 
 def run_matrix(

@@ -9,9 +9,15 @@ The solver minimizes, over couplings with fixed marginals,
 where H is the entropy term, Omega the per-column class-group norm and T a
 group norm over same-temporal-order (or order-violating) column sets.  The
 non-entropic terms are linearized at each iterate so the direction-finding
-subproblem stays an entropic transport problem solved by log-domain
-Sinkhorn iterations; an Armijo backtracking search on the full objective
-keeps the trace non-increasing.
+subproblem stays an entropic transport problem solved by Sinkhorn
+iterations; an Armijo backtracking search on the full objective keeps the
+trace non-increasing.
+
+Sinkhorn runs in scaling form on a stabilized kernel (Schmitzer 2019,
+"Stabilized sparse scaling algorithms for entropy regularized transport
+problems"): the iterates of log-domain Sinkhorn, with matrix-vector products
+instead of an `exp` per iteration; `sinkhorn` describes its two stabilizing
+paths.
 """
 
 from __future__ import annotations
@@ -24,6 +30,8 @@ from .errors import DimensionMismatchError, NumericalFailureError
 from .hmm import TemporalAtlas
 
 ENTROPY_GRAD_FLOOR = -745.0  # log of the smallest positive double
+SCALING_MIN, SCALING_MAX = 1e-150, 1e150  # sinkhorn scalings kept in range
+_TINY = np.finfo(float).tiny  # a column mass below this has underflowed
 
 
 @dataclass
@@ -73,27 +81,6 @@ class Coupling:
     marginal_violation: float = 0.0
     iterations: int = 0
     converged: bool = True
-
-
-def coupling_to_json(coupling: Coupling) -> str:
-    import json
-
-    return json.dumps(
-        {
-            "values": [[float(v) for v in row] for row in coupling.values],
-            "row_marginal": [float(v) for v in coupling.row_marginal],
-            "col_marginal": [float(v) for v in coupling.col_marginal],
-            "marginal_violation": coupling.marginal_violation,
-            "iterations": coupling.iterations,
-            "converged": coupling.converged,
-        },
-        sort_keys=True,
-    )
-
-
-def coupling_to_csv(coupling: Coupling, path) -> None:
-    """Debug dump of the raw plan matrix."""
-    np.savetxt(path, coupling.values, delimiter=",")
 
 
 @dataclass
@@ -219,11 +206,25 @@ def sinkhorn(
     max_iters: int = 10_000,
     tol: float = 1e-9,
 ) -> Coupling:
-    """Entropic transport plan via log-domain Sinkhorn iterations.
+    """Entropic transport plan via stabilized Sinkhorn iterations.
 
-    Iterates dual updates until the worst marginal deviation falls below
-    `tol` or the budget runs out (then the achieved violation is reported
-    with `converged=False`).
+    Each iteration fits the column marginals, then the row marginals; the
+    iterates are those of log-domain Sinkhorn from zero duals.  The first
+    iteration runs in the log domain and yields duals u, v and the kernel
+    K = exp(-cost / entropy_weight + u + v), the current plan.  Later
+    iterations keep the plan as su * K * sv and update the scalings by
+    sv = b / (su @ K), then su = a / (K @ sv), so rows are exact after each
+    iteration and the stopping check reads the column sums, which the next
+    column update reuses.  Two paths keep this stable:
+
+    - a scaling outside [SCALING_MIN, SCALING_MAX] is absorbed into u, v
+      and K is rebuilt from them (one `exp`);
+    - when a column mass su @ K underflows, the iteration runs in the log
+      domain from the absorbed duals.
+
+    Iterates until the worst marginal deviation falls below `tol` or the
+    budget runs out (then the achieved violation is reported with
+    `converged=False`).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -234,26 +235,54 @@ def sinkhorn(
     log_a, log_b = np.log(a), np.log(b)
     u = np.zeros(len(a))
     v = np.zeros(len(b))
+    ones_a, ones_b = np.ones(len(a)), np.ones(len(b))
+    su, sv = ones_a, ones_b  # the plan is su[:, None] * kernel * sv
     check_every = 1 if log_k.size <= 10_000 else 10
-    violation = np.inf
     it = 0
-    for it in range(1, max_iters + 1):
-        m = log_k + u[:, None]
-        v = log_b - _logsumexp(m, axis=0)
-        m = log_k + v[None, :]
-        u = log_a - _logsumexp(m, axis=1)
-        if it % check_every == 0 or it == max_iters:
-            plan = np.exp(log_k + u[:, None] + v[None, :])
-            violation = _violation(plan, a, b)
-            if not np.isfinite(violation):
-                raise NumericalFailureError("numerical failure: NaN in sinkhorn iterates")
-            if violation <= tol:
-                break
-    plan = np.exp(log_k + u[:, None] + v[None, :])
+    with np.errstate(divide="ignore"):
+        for it in range(1, max_iters + 1):
+            log_domain = it == 1
+            if not log_domain:
+                sv = b / col_mass
+                if not _in_range(sv):
+                    log_domain = col_mass.min() < _TINY
+                    if not log_domain:
+                        u, v, kernel = _absorb(log_k, u, v, su, sv)
+                        su, sv = ones_a, ones_b
+            if log_domain:
+                u = u + np.log(su)
+                v = log_b - _logsumexp(log_k + u[:, None], axis=0)
+                u = log_a - _logsumexp(log_k + v[None, :], axis=1)
+                kernel, su, sv = np.exp(log_k + u[:, None] + v[None, :]), ones_a, ones_b
+            else:
+                su = a / (kernel @ sv)
+                if not _in_range(su):
+                    u, v, kernel = _absorb(log_k, u, v, su, sv)
+                    su, sv = ones_a, ones_b
+            col_mass = su @ kernel
+            if it % check_every == 0 or it == max_iters:
+                # rows are exact after the row update, so only columns can miss
+                violation = float(np.abs(sv * col_mass - b).max())
+                if not np.isfinite(violation):
+                    raise NumericalFailureError("numerical failure: NaN in sinkhorn iterates")
+                if violation <= tol:
+                    break
+    _, _, plan = _absorb(log_k, u, v, su, sv)
     violation = _violation(plan, a, b)
     if not np.all(np.isfinite(plan)):
         raise NumericalFailureError("numerical failure: non-finite transport plan")
     return Coupling(plan, a, b, violation, it, violation <= tol)
+
+
+def _in_range(scaling: np.ndarray) -> bool:
+    return SCALING_MIN <= scaling.min() and scaling.max() <= SCALING_MAX
+
+
+def _absorb(log_k, u, v, su, sv):
+    """Fold scalings into the duals; return them and the plan they give."""
+    u = u + np.log(su)
+    v = v + np.log(sv)
+    return u, v, np.exp(log_k + u[:, None] + v[None, :])
 
 
 def _logsumexp(m: np.ndarray, axis: int) -> np.ndarray:
@@ -279,6 +308,8 @@ def gcg_solve(
     below `hyper.gcg_tol` or no descent direction remains.
 
     Returns the final coupling and the objective value per accepted iterate.
+    The coupling is flagged `converged` only when every Sinkhorn direction
+    solved along the way converged.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -310,6 +341,7 @@ def gcg_solve(
     obj = objective(gamma)
     trace = [obj]
     worst_violation = _violation(gamma, a, b)
+    converged = True
 
     for _ in range(hyper.gcg_iters):
         _, pen_sub = penalties(gamma)
@@ -317,6 +349,7 @@ def gcg_solve(
             a, b, cost + pen_sub, hyper.entropy_weight, hyper.sinkhorn_iters, hyper.sinkhorn_tol
         )
         worst_violation = max(worst_violation, direction.marginal_violation)
+        converged = converged and direction.converged
         delta = direction.values - gamma
         _, ent_grad = entropy(gamma)
         slope = float(((cost + hyper.entropy_weight * ent_grad + pen_sub) * delta).sum())
@@ -341,6 +374,6 @@ def gcg_solve(
     # worst direction violation bounds the violation along the whole path
     worst_violation = max(worst_violation, _violation(gamma, a, b))
     return (
-        Coupling(gamma, a, b, worst_violation, len(trace) - 1, True),
+        Coupling(gamma, a, b, worst_violation, len(trace) - 1, converged),
         np.asarray(trace),
     )

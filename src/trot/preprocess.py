@@ -341,6 +341,8 @@ def load_features(path, user_id: str | None = None) -> FeatureDataset:
     index = np.array([int(r[0]) for r in rows])
     labels = np.array([int(r[1]) for r in rows])
     feats = np.array([[float(v) for v in r[2:]] for r in rows])
+    if not np.all(np.isfinite(feats)):
+        raise InvalidSampleError(f"invalid sample: non-finite feature in {path.name}")
     return FeatureDataset(
         feats,
         None if np.all(labels == -1) else labels,

@@ -106,6 +106,18 @@ class TestRunTask:
         assert report.error is not None
         assert "insufficient class data" in report.error
 
+    def test_repeated_grid_failures_reported_once_with_count(self):
+        source, target = tiny_pair()
+        grid = (
+            TrotHyperparams(entropy_weight=0.1, n_states=50),
+            TrotHyperparams(entropy_weight=0.01, n_states=50),
+            TrotHyperparams(entropy_weight=0.1, n_states=60),
+        )
+        report = run_task(TaskSpec("s", "t", "trot", grid), source, target)
+        first, second = report.error.split("; ")
+        assert first.endswith("< 50 states (\u00d72)")
+        assert second.endswith("< 60 states")
+
     def test_predictions_cover_test_half_only(self):
         source, target = tiny_pair()
         report = run_task(TaskSpec("s", "t", "na"), source, target)

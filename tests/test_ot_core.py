@@ -2,7 +2,11 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from trot import ot_core
+from trot.errors import NumericalFailureError
 from trot.ot_core import (
     Coupling,
     OrderGroups,
@@ -16,6 +20,7 @@ from trot.ot_core import (
     pairwise_sq_dists,
     sinkhorn,
     temporal_reg,
+    _violation,
 )
 
 from .conftest import make_atlas
@@ -111,6 +116,113 @@ class TestTemporalReg:
         for i, cols in enumerate(og.matched):
             assert len(cols) == 2  # one per target class
             assert sorted(np.concatenate([cols, og.mismatched[i]])) == [0, 1, 2, 3]
+
+
+def reference_sinkhorn(a, b, cost, entropy_weight, max_iters=10_000, tol=1e-9):
+    """Plain log-domain Sinkhorn, two log-sum-exps and a full plan per
+    iteration: the reference that `sinkhorn`'s iterates are compared against."""
+    log_k = -cost / entropy_weight
+    log_a, log_b = np.log(a), np.log(b)
+    u = np.zeros(len(a))
+    v = np.zeros(len(b))
+    check_every = 1 if log_k.size <= 10_000 else 10
+    it = 0
+    for it in range(1, max_iters + 1):
+        v = log_b - _reference_logsumexp(log_k + u[:, None], axis=0)
+        u = log_a - _reference_logsumexp(log_k + v[None, :], axis=1)
+        if it % check_every == 0 or it == max_iters:
+            plan = np.exp(log_k + u[:, None] + v[None, :])
+            violation = _violation(plan, a, b)
+            if not np.isfinite(violation):
+                raise NumericalFailureError("numerical failure: NaN in sinkhorn iterates")
+            if violation <= tol:
+                break
+    plan = np.exp(log_k + u[:, None] + v[None, :])
+    violation = _violation(plan, a, b)
+    return Coupling(plan, a, b, violation, it, violation <= tol)
+
+
+def _reference_logsumexp(m, axis):
+    mx = np.max(m, axis=axis, keepdims=True)
+    mx = np.where(np.isfinite(mx), mx, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.squeeze(mx, axis) + np.log(np.exp(m - mx).sum(axis=axis))
+
+
+def assert_same_iterates(a, b, cost, entropy_weight, max_iters=10_000):
+    """`sinkhorn` against the reference: same counts and flags, same plan.
+
+    The reference rounds each exponent log_k + u + v at the magnitude of
+    log_k = -cost / entropy_weight, so its plan carries a relative error of
+    about eps * max|log_k|; the plans may differ by that much on top of 1e-12.
+    """
+    got = sinkhorn(a, b, cost, entropy_weight, max_iters)
+    ref = reference_sinkhorn(a, b, cost, entropy_weight, max_iters)
+    atol = 1e-12 + np.finfo(float).eps * np.abs(cost).max() / entropy_weight
+    assert got.iterations == ref.iterations
+    assert got.converged == ref.converged
+    assert np.abs(got.values - ref.values).max() <= atol
+    # a violation is a row or column sum, so it carries up to max(shape) plan errors
+    assert abs(got.marginal_violation - ref.marginal_violation) <= max(cost.shape) * atol
+    return got
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(ot_core, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ot_core, name, counted)
+    return calls
+
+
+class TestSinkhornMatchesLogDomain:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+        max_iters=st.sampled_from([1, 2, 3, 100, 2000]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_problems(self, shape, max_iters, seed):
+        # the entropy weight (1e-4 to 3), cost scale (0.01 to 30) and Dirichlet
+        # concentration are log-uniform from the seed: hypothesis' own floats
+        # crowd around simple values such as 1 and never reach the slow,
+        # small-weight solves
+        rng = np.random.default_rng(seed)
+        entropy_weight = 10 ** rng.uniform(-4, np.log10(3))
+        cost = 10 ** rng.uniform(-2, np.log10(30)) * rng.uniform(size=shape)
+        alpha = 10 ** rng.uniform(-0.5, 1)
+        a = rng.dirichlet(np.full(shape[0], alpha))
+        b = rng.dirichlet(np.full(shape[1], alpha))
+        assert_same_iterates(a, b, cost, entropy_weight, max_iters)
+
+    def test_scaling_out_of_range_is_absorbed(self, monkeypatch):
+        # at entropy weight 1e-3 the scalings drift past 1e150 within 2000
+        # iterations while every column keeps a normal mass
+        cost = np.array([[4.0, 1.3, 0.7], [3.5, 3.2, 2.7], [3.8, 3.7, 3.0]])
+        absorbs = count_calls(monkeypatch, "_absorb")
+        log_steps = count_calls(monkeypatch, "_logsumexp")
+        assert_same_iterates(np.full(3, 1 / 3), np.full(3, 1 / 3), cost, 1e-3, 2000)
+        assert len(log_steps) == 2  # the first iteration only
+        assert len(absorbs) > 1  # more than the final plan
+
+    def test_column_mass_underflow_runs_in_log_domain(self, monkeypatch):
+        # column 0 carries 1e-200 and sits in row 0, which row scaling shrinks
+        # by another 1e-200: its column mass underflows to 0 at iteration 2
+        cost = np.array([[0.0, 0.0, 0.0], [10.0, 1.0, 1.5], [10.0, 1.2, 1.0]])
+        marginal = np.array([1e-200, 0.5, 0.5])
+        log_steps = count_calls(monkeypatch, "_logsumexp")
+        coupling = assert_same_iterates(marginal, marginal, cost, 0.01, 50)
+        assert len(log_steps) > 2
+        assert np.all(np.isfinite(coupling.values))
+
+    def test_nan_cost_raises(self):
+        cost = np.array([[0.0, np.nan], [1.0, 0.0]])
+        with pytest.raises(NumericalFailureError):
+            sinkhorn(np.full(2, 0.5), np.full(2, 0.5), cost, 0.1)
 
 
 class TestSinkhorn:
@@ -209,6 +321,23 @@ class TestGcg:
         coup, trace = gcg_solve(a, b, cost_matrix(src, tgt), hyper, og)
         assert np.all(np.diff(trace) <= 1e-12)
         assert coup.marginal_violation <= 1e-6
+
+    def test_unconverged_directions_flagged(self, rng):
+        cost = rng.uniform(size=(8, 8))
+        hyper = TrotHyperparams(entropy_weight=1e-4, sinkhorn_iters=3)
+        coup, _ = gcg_solve(np.full(8, 1 / 8), np.full(8, 1 / 8), cost, hyper)
+        assert not coup.converged
+
+    def test_converged_directions_flagged(self, rng):
+        # the construction of acceptance criterion 3
+        src = make_atlas(rng.uniform(0, 0.5, (8, 2)), [0] * 4 + [1] * 4, [1, 2, 3, 4] * 2)
+        tgt = make_atlas(rng.uniform(0, 0.5, (8, 2)), [0] * 4 + [1] * 4, [1, 2, 3, 4] * 2)
+        hyper = TrotHyperparams(entropy_weight=0.1, group_weight=0.1, order_weight=1.0)
+        coup, trace = gcg_solve(
+            src.weights, tgt.weights, cost_matrix(src, tgt), hyper, order_groups(src, tgt)
+        )
+        assert len(trace) > 1
+        assert coup.converged
 
     def test_requires_groups_for_weights(self):
         a = b = np.full(2, 0.5)

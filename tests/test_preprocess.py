@@ -208,6 +208,16 @@ class TestPipelineAndIO:
         assert np.array_equal(back.labels, ds.labels)
         assert np.array_equal(back.window_index, ds.window_index)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_feature_rejected(self, tmp_path, value):
+        # a NaN cell once loaded silently and turned na and coral into coin flips
+        features = np.ones((4, 3))
+        features[2, 1] = value
+        path = tmp_path / "ub.csv"
+        save_features(make_dataset(features, labels=[0, 1, 0, 1]), path)
+        with pytest.raises(InvalidSampleError, match="ub.csv"):
+            load_features(path)
+
     def test_recording_csv(self, tmp_path):
         lines = ["timestamp,acc_x,acc_y,acc_z,gyro_x,gyro_y,gyro_z,label"]
         for i in range(4):
