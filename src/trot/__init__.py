@@ -40,7 +40,6 @@ from .ot_core import (
 )
 from .preprocess import (
     FeatureDataset,
-    FeatureWindow,
     Recording,
     build_features,
     extract_features,

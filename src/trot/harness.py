@@ -64,11 +64,7 @@ class TaskSpec:
 
 @dataclass
 class AdaptReport:
-    """Outcome of one task: selected setting, accuracies, per-window dump.
-
-    `coupling` holds the selected configuration's transport plan (when the
-    method computes one) for debug dumps; it stays out of `to_dict`.
-    """
+    """Outcome of one task: selected setting, accuracies, per-window dump."""
 
     task: TaskSpec
     chosen_hyper: TrotHyperparams | None = None
@@ -78,7 +74,6 @@ class AdaptReport:
     timing: float = 0.0
     predictions: dict | None = None
     error: str | None = None
-    coupling: object = None
 
     def to_dict(self, include_timing: bool = False) -> dict:
         out = {

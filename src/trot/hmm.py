@@ -42,7 +42,6 @@ class ActivityHMM:
     states: list[GaussianState]
     transition: np.ndarray  # (N, N) row-stochastic, chain support only
     cyclic: bool = True
-    initial_state: int = 0
     log_likelihood_trace: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -237,7 +236,7 @@ def _fit_em(class_windows: FeatureDataset, n_states: int, class_id: int, cyclic:
             xi_sup = np.where(support, xi_sum, 0.0)
             rows = xi_sup.sum(axis=1, keepdims=True)
             trans = np.where(rows > 0, xi_sup / np.where(rows > 0, rows, 1.0), trans)
-    return ActivityHMM(states, trans, cyclic, 0, np.array(trace))
+    return ActivityHMM(states, trans, cyclic, log_likelihood_trace=np.array(trace))
 
 
 def assign_states(

@@ -2,7 +2,9 @@
 
 Raw recordings carry six channels (3-axis accelerometer + 3-axis gyroscope).
 Each sensor triple is combined into a magnitude series and 19 statistical
-features are extracted per sensor, giving 38 features per window.
+features are extracted per sensor, giving 38 features per window.  Every
+feature is a reduction over the last axis, so one series and a
+`(n_windows, w)` stack of windows go through the same code.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DimensionMismatchError,
@@ -56,14 +59,6 @@ class RawWindow:
     label: int
 
 
-@dataclass(frozen=True)
-class FeatureWindow:
-    features: np.ndarray
-    label: int | None
-    window_index: int
-    user_id: str = ""
-
-
 @dataclass
 class FeatureDataset:
     """Chronologically ordered windowed feature vectors for one user.
@@ -81,6 +76,8 @@ class FeatureDataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
+        if not np.all(np.isfinite(self.features)):
+            raise InvalidSampleError("invalid sample: non-finite feature")
         self.window_index = np.asarray(self.window_index, dtype=int)
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=int)
@@ -97,10 +94,6 @@ class FeatureDataset:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
-
-    def window(self, i: int) -> FeatureWindow:
-        label = None if self.labels is None else int(self.labels[i])
-        return FeatureWindow(self.features[i], label, int(self.window_index[i]), self.user_id)
 
     def subset(self, indices) -> "FeatureDataset":
         indices = np.asarray(indices)
@@ -153,96 +146,97 @@ def segment(recording: Recording, window_seconds: float, overlap_fraction: float
 
 
 def _moments(x: np.ndarray):
-    """Population mean/var/std/skewness/excess kurtosis; zero-variance series
-    get skewness and kurtosis 0 so every feature stays finite."""
-    mean = x.mean()
-    var = x.var()
+    """Population mean/var/std/skewness/excess kurtosis over the last axis;
+    where the std is 0, skewness and kurtosis are 0 so every feature stays
+    finite."""
+    mean = x.mean(axis=-1)
+    var = x.var(axis=-1)
     std = np.sqrt(var)
-    if std == 0.0:
-        return mean, var, std, 0.0, 0.0
-    z = (x - mean) / std
-    return mean, var, std, (z**3).mean(), (z**4).mean() - 3.0
+    flat = std == 0.0
+    z = (x - mean[..., None]) / np.where(flat, 1.0, std)[..., None]
+    z2 = z * z
+    skew = np.where(flat, 0.0, (z2 * z).mean(axis=-1))
+    kurt = np.where(flat, 0.0, (z2 * z2).mean(axis=-1) - 3.0)
+    return mean, var, std, skew, kurt
 
 
-def _mode(x: np.ndarray) -> float:
+def _mode(x: np.ndarray) -> np.ndarray:
     """Midpoint of the most populated of 10 equal-width bins over [min, max];
-    ties resolve toward the lower bin.  A constant series is its own mode."""
-    lo, hi = x.min(), x.max()
-    if lo == hi:
-        return float(lo)
-    counts, edges = np.histogram(x, bins=10, range=(lo, hi))
-    b = int(np.argmax(counts))
-    return float((edges[b] + edges[b + 1]) / 2.0)
+    ties resolve toward the lower bin.  A constant series is its own mode.
+
+    Bins follow `np.histogram(x, 10, (min, max))`: floor of the scaled
+    offset, then a one-step correction where that lands across a rounded edge.
+    """
+    lo, hi = x.min(axis=-1), x.max(axis=-1)
+    flat = lo == hi
+    # constant series are binned as zeros over [0, 1] and discarded, so no
+    # edge step is 0 (linspace rounds every row differently when one is)
+    xb = np.where(flat[..., None], 0.0, x)
+    lo_b, hi_b = np.where(flat, 0.0, lo), np.where(flat, 1.0, hi)
+    edges = np.linspace(lo_b, hi_b, 11, axis=-1)
+    b = ((xb - lo_b[..., None]) / (hi_b - lo_b)[..., None] * 10).astype(np.intp)
+    b[b == 10] = 9
+    b -= xb < np.take_along_axis(edges, b, axis=-1)
+    b += (xb >= np.take_along_axis(edges, b + 1, axis=-1)) & (b != 9)
+    counts = (b[..., None] == np.arange(10)).sum(axis=-2)
+    top = counts.argmax(axis=-1)[..., None]
+    mid = (np.take_along_axis(edges, top, -1) + np.take_along_axis(edges, top + 1, -1)) / 2.0
+    return np.where(flat, lo, mid[..., 0])
 
 
-def _mean_crossing_rate(x: np.ndarray) -> float:
-    """Sign changes of (x - mean), zeros skipped, divided by (len - 1)."""
-    s = np.sign(x - x.mean())
-    s = s[s != 0]
-    if len(s) < 2:
-        return 0.0
-    return float(np.count_nonzero(s[1:] != s[:-1])) / (len(x) - 1)
+def _mean_crossing_rate(x: np.ndarray) -> np.ndarray:
+    """Sign changes of (x - mean), zeros skipped, divided by (len - 1).
 
-
-_dft_cache: dict[int, np.ndarray] = {}
-
-
-def _dft_magnitude(x: np.ndarray) -> np.ndarray:
-    """Magnitudes of DFT bins 1..n//2 (single-sided, DC excluded), computed
-    from the definition so no transform library is pinned."""
-    n = len(x)
-    rows = _dft_cache.get(n)
-    if rows is None:
-        k = np.arange(1, n // 2 + 1)[:, None]
-        t = np.arange(n)[None, :]
-        rows = np.exp(-2j * np.pi * k * t / n)
-        _dft_cache[n] = rows
-    return np.abs(rows @ x)
+    A zero takes the sign of the last non-zero before it, so it neither
+    starts nor ends a crossing."""
+    s = np.sign(x - x.mean(axis=-1, keepdims=True))
+    last = np.maximum.accumulate(np.where(s != 0, np.arange(s.shape[-1]), 0), axis=-1)
+    s = np.take_along_axis(s, last, axis=-1)
+    changes = np.count_nonzero((s[..., 1:] != s[..., :-1]) & (s[..., :-1] != 0), axis=-1)
+    return changes / (x.shape[-1] - 1)
 
 
 def sensor_features(x: np.ndarray) -> np.ndarray:
-    """19 features of one combined-sensor series.
+    """19 features of each combined-sensor series along the last axis.
 
-    Order: mean, variance, std, mode, max, min, mean crossing rate, range,
-    DC (window mean), then mean/var/std/skew/kurtosis of the rectified
-    mean-removed signal, then the same five statistics of the single-sided
-    DFT magnitude spectrum (bin 0 excluded).
+    `x` is one series `(w,)` or a stack `(..., w)`; the result is `(19,)` or
+    `(..., 19)`.  Order: mean, variance, std, mode, max, min, mean crossing
+    rate, range, DC (window mean), then mean/var/std/skew/kurtosis of the
+    rectified mean-removed signal, then the same five statistics of the
+    single-sided DFT magnitude spectrum (bins 1..w//2).  The spectrum is
+    taken of the series minus its first sample, which changes only bin 0,
+    so a constant series has an exactly zero spectrum.
     """
     x = np.asarray(x, dtype=float)
-    if len(x) < 2:
+    if x.shape[-1] < 2:
         raise InsufficientDataError("insufficient data: window shorter than 2 samples")
     if not np.all(np.isfinite(x)):
         raise InvalidSampleError("invalid sample: non-finite value in window")
     mean, var, std, _, _ = _moments(x)
-    amplitude = np.abs(x - mean)
-    spectrum = _dft_magnitude(x)
-    return np.array(
+    lo, hi = x.min(axis=-1), x.max(axis=-1)
+    amplitude = np.abs(x - mean[..., None])
+    spectrum = np.abs(np.fft.rfft(x - x[..., :1], axis=-1))[..., 1:]
+    return np.stack(
         [
             mean,
             var,
             std,
             _mode(x),
-            x.max(),
-            x.min(),
+            hi,
+            lo,
             _mean_crossing_rate(x),
-            x.max() - x.min(),
+            hi - lo,
             mean,  # DC component = zero-frequency bin / n
             *_moments(amplitude),
             *_moments(spectrum),
-        ]
+        ],
+        axis=-1,
     )
 
 
 def extract_features(*sensor_series: np.ndarray) -> np.ndarray:
-    """Concatenated per-sensor features (19 each) for the given series."""
-    return np.concatenate([sensor_features(x) for x in sensor_series])
-
-
-def window_features(window: RawWindow) -> np.ndarray:
-    """38-vector for one raw window: accelerometer then gyroscope magnitude."""
-    acc = magnitude(window.samples[:, 0], window.samples[:, 1], window.samples[:, 2])
-    gyro = magnitude(window.samples[:, 3], window.samples[:, 4], window.samples[:, 5])
-    return extract_features(acc, gyro)
+    """Concatenated per-sensor features (19 each) along the last axis."""
+    return np.concatenate([sensor_features(x) for x in sensor_series], axis=-1)
 
 
 def build_features(
@@ -251,15 +245,19 @@ def build_features(
     """Segment a recording and extract the 38-dim feature vector per window.
 
     Windows keep their position in the segmented stream as `window_index`,
-    so label-ambiguous windows that were dropped leave gaps.
+    so label-ambiguous windows that were dropped leave gaps.  The magnitude
+    series are computed once per recording and the kept windows gathered
+    from them as one `(n_windows, w)` stack per sensor.
     """
     raw = segment(recording, window_seconds, overlap_fraction)
     w = int(round(window_seconds * recording.sample_rate))
     step = int(round(w * (1.0 - overlap_fraction)))
-    feats = np.array([window_features(win) for win in raw])
+    starts = np.array([win.start for win in raw], dtype=int)
+    c = recording.channels
+    sensors = (magnitude(c[:, 0], c[:, 1], c[:, 2]), magnitude(c[:, 3], c[:, 4], c[:, 5]))
+    feats = extract_features(*(sliding_window_view(m, w)[starts] for m in sensors))
     labels = np.array([win.label for win in raw], dtype=int)
-    index = np.array([win.start // step for win in raw], dtype=int)
-    return FeatureDataset(feats, labels, index, recording.user_id)
+    return FeatureDataset(feats, labels, starts // step, recording.user_id)
 
 
 def fit_maxabs(dataset: FeatureDataset) -> np.ndarray:

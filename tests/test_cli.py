@@ -36,6 +36,20 @@ def test_preprocess_verb(recording_dir, tmp_path):
     assert len(ds) > 0
 
 
+def test_preprocess_recording_without_kept_windows(tmp_path):
+    # one 3 s window whose labels alternate is a tie and is dropped
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    lines = ["timestamp,acc_x,acc_y,acc_z,gyro_x,gyro_y,gyro_z,label"]
+    lines += [f"{i / 30},1,2,2,0.1,0.2,0.2,{i % 2}" for i in range(90)]
+    (raw / "userB.csv").write_text("\n".join(lines))
+    out = tmp_path / "feats"
+    assert main(["preprocess", "--input", str(raw), "--rate", "30", "--out", str(out)]) == 0
+    header, *rows = (out / "userB.csv").read_text().splitlines()
+    assert header.split(",")[-1] == "f37"
+    assert rows == []
+
+
 def test_synth_adapt_matrix_roundtrip(tmp_path, capsys):
     data = tmp_path / "synth"
     assert main(["synth", "--classes", "2", "--states", "2", "--windows", "24",

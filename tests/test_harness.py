@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trot.errors import DimensionMismatchError, InsufficientDataError
+from trot.errors import DimensionMismatchError, InsufficientDataError, InvalidSampleError
 from trot.harness import (
     TaskSpec,
     default_grid,
@@ -117,6 +117,16 @@ class TestRunTask:
         first, second = report.error.split("; ")
         assert first.endswith("< 50 states (\u00d72)")
         assert second.endswith("< 60 states")
+
+    def test_non_finite_source_feature_raises(self):
+        # a NaN cell once scaled its column to NaN for both users, and na
+        # still reported accuracy 0.5
+        source, target = tiny_pair()
+        source.features[3, 0] = np.nan
+        with pytest.raises(InvalidSampleError, match="non-finite"):
+            run_task(TaskSpec("s", "t", "na"), source, target)
+        matrix = run_matrix({"s": source, "t": target}, methods=["na", "coral", "td"])
+        assert all(task["status"] == "failed" for task in matrix["tasks"])
 
     def test_predictions_cover_test_half_only(self):
         source, target = tiny_pair()

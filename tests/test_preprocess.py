@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trot.errors import (
@@ -11,6 +11,7 @@ from trot.errors import (
 )
 from trot.preprocess import (
     FeatureDataset,
+    Recording,
     build_features,
     extract_features,
     fit_maxabs,
@@ -24,6 +25,99 @@ from trot.preprocess import (
 )
 
 from .conftest import make_dataset, make_recording
+
+
+def reference_sensor_features(x):
+    """The 19 features of one series, one statistic at a time, with the DFT
+    written out from its definition: the per-window extractor that the
+    vectorized `sensor_features` is compared against."""
+    x = np.asarray(x, dtype=float)
+    if len(x) < 2:
+        raise InsufficientDataError("insufficient data: window shorter than 2 samples")
+    if not np.all(np.isfinite(x)):
+        raise InvalidSampleError("invalid sample: non-finite value in window")
+    mean, var, std, _, _ = _reference_moments(x)
+    lo, hi = x.min(), x.max()
+    if lo == hi:
+        mode = float(lo)
+    else:
+        counts, edges = np.histogram(x, bins=10, range=(lo, hi))
+        b = int(np.argmax(counts))
+        mode = float((edges[b] + edges[b + 1]) / 2.0)
+    signs = np.sign(x - mean)
+    signs = signs[signs != 0]
+    crossings = np.count_nonzero(signs[1:] != signs[:-1]) if len(signs) >= 2 else 0
+    n = len(x)
+    k = np.arange(1, n // 2 + 1)[:, None]
+    spectrum = np.abs(np.exp(-2j * np.pi * k * np.arange(n)[None, :] / n) @ x)
+    return np.array(
+        [
+            mean, var, std, mode, hi, lo, crossings / (n - 1), hi - lo, mean,
+            *_reference_moments(np.abs(x - mean)),
+            *_reference_moments(spectrum),
+        ]
+    )
+
+
+def _reference_moments(x):
+    mean, var = x.mean(), x.var()
+    std = np.sqrt(var)
+    if std == 0.0:
+        return mean, var, std, 0.0, 0.0
+    z = (x - mean) / std
+    return mean, var, std, (z**3).mean(), (z**4).mean() - 3.0
+
+
+def reference_build_features(recording, window_seconds, overlap_fraction):
+    """(features, labels, window_index) from a loop over the segmented windows."""
+    w = int(round(window_seconds * recording.sample_rate))
+    step = int(round(w * (1.0 - overlap_fraction)))
+    rows, labels, index = [], [], []
+    for win in segment(recording, window_seconds, overlap_fraction):
+        acc = magnitude(win.samples[:, 0], win.samples[:, 1], win.samples[:, 2])
+        gyro = magnitude(win.samples[:, 3], win.samples[:, 4], win.samples[:, 5])
+        rows.append(np.concatenate([reference_sensor_features(acc), reference_sensor_features(gyro)]))
+        labels.append(win.label)
+        index.append(win.start // step)
+    return np.reshape(rows, (-1, 38)), np.array(labels, dtype=int), np.array(index, dtype=int)
+
+
+SPECTRUM = slice(14, 19)  # mean/var/std/skew/kurtosis of the magnitude spectrum
+
+
+@st.composite
+def recordings(draw):
+    """A recording with its window length and overlap.
+
+    Beyond normal noise the values may be quantized on one axis per sensor,
+    so magnitudes repeat exactly: x - mean hits 0 and values land on
+    histogram edges.  Constant runs give constant windows and windows with
+    one odd sample; block or alternating labels give tied windows.  All but
+    the rate, window and overlap come from the drawn seed: hypothesis' own
+    integers and booleans crowd at their lower bounds.
+    """
+    rate = draw(st.sampled_from([10.0, 20.0, 25.0, 30.0, 50.0]))
+    window_seconds = draw(st.sampled_from([0.2, 0.4, 1.0, 3.0]))
+    overlap = draw(st.floats(0.0, 0.9))
+    w = int(round(window_seconds * rate))
+    step = int(round(w * (1.0 - overlap)))
+    assume(w >= 2 and step >= 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = w + rng.integers(0, 25) * step + rng.integers(0, step)
+    quantum = rng.choice([0.0, 1.0, 0.5, 0.1, 0.3])
+
+    channels = rng.normal(0, 1, (n, 6))
+    if quantum:
+        channels[:] = 0.0
+        channels[:, [0, 4]] = quantum * rng.integers(0, rng.integers(1, 11), (n, 2))
+    for _ in range(rng.integers(0, 4)):
+        start = rng.integers(0, n)
+        channels[start : start + rng.integers(1, 3 * w)] = channels[start]
+    if rng.uniform() < 0.15:
+        labels = np.arange(n) % 2
+    else:
+        labels = np.repeat(rng.integers(0, 3, n), rng.integers(1, 4 * w, n))[:n]
+    return Recording(rate, channels, labels, "u"), window_seconds, overlap
 
 
 class TestSegment:
@@ -132,7 +226,7 @@ class TestSensorFeatures:
         assert got == pytest.approx(SINE16_FEATURES, abs=1e-12)
 
     def test_sine_oracle_recomputed(self):
-        # independent route: numpy.fft instead of the direct transform
+        # independent route: the full complex FFT of the unshifted series
         spectrum = np.abs(np.fft.fft(SINE16))[1 : 16 // 2 + 1]
         got = sensor_features(SINE16)
         assert got[14] == pytest.approx(spectrum.mean(), abs=1e-12)
@@ -141,6 +235,23 @@ class TestSensorFeatures:
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidSampleError, match="invalid sample"):
             sensor_features(np.array([1.0, np.nan, 2.0]))
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            [0.3333333333333333, 3.333333333333333, 3.6666666666666665],
+            [2.0999999999999996, 9.1, 8.399999999999999],
+        ],
+        ids=["below rounded lower edge", "on rounded upper edge"],
+    )
+    def test_mode_bins_like_histogram_at_rounded_edges(self, x):
+        # the floored bin index of one value is off by one here, and the
+        # correction decides which bin is most populated
+        assert sensor_features(np.array(x))[3] == reference_sensor_features(x)[3]
+
+    def test_stack_matches_single_series(self, rng):
+        stack = rng.normal(0, 1, (5, 16))
+        assert np.array_equal(sensor_features(stack)[3], sensor_features(stack[3]))
 
     def test_feature_vector_length(self):
         f = extract_features(SINE16, SINE16[::-1])
@@ -155,6 +266,67 @@ class TestSensorFeatures:
         # pure-moment features ignore order: mean, var, std, mode, max, min, range, dc
         for idx in (0, 1, 2, 3, 4, 5, 7, 8):
             assert f1[idx] == pytest.approx(f2[idx], rel=1e-9, abs=1e-9)
+
+
+class TestBuildFeaturesMatchesReference:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(recordings())
+    def test_random_recordings(self, drawn):
+        recording, window_seconds, overlap = drawn
+        got = build_features(recording, window_seconds, overlap)
+        want, labels, index = reference_build_features(recording, window_seconds, overlap)
+        assert np.array_equal(got.labels, labels)
+        assert np.array_equal(got.window_index, index)
+        assert got.features.shape == want.shape
+        for sensor in (slice(0, 19), slice(19, 38)):
+            g, r = got.features[:, sensor], want[:, sensor]
+            close = np.abs(g - r) <= 1e-12 + 1e-9 * np.abs(r)
+            # a constant window has an exactly zero spectrum; the reference's
+            # DFT leaves rounding noise there
+            constant = r[:, 7] == 0
+            assert np.all(g[constant, SPECTRUM] == 0)
+            close[constant, SPECTRUM] = True
+            # a spectrum flat up to rounding (a constant with one odd sample)
+            # has skewness and kurtosis of pure noise in both extractors
+            flat = r[:, 16] <= 1e-9 * r[:, 14]
+            close[flat, 17:19] = True
+            assert np.all(close), np.argwhere(~close)
+
+    @pytest.mark.parametrize("n", [4, 5, 90, 150])
+    @pytest.mark.parametrize("value", [0.3, 1.0, 9.81])
+    def test_constant_window_has_zero_spectrum(self, n, value):
+        # the hand-written DFT gave bins of 1e-12 noise here, whose skewness
+        # and kurtosis came out O(1): [4.00, 19.60] for 150 samples of 1.0
+        channels = np.tile([value, 0.0, 0.0, 0.0, 2 * value, 0.0], (n, 1))
+        recording = Recording(30.0, channels, np.zeros(n, dtype=int))
+        features = build_features(recording, n / 30.0, 0.0).features
+        assert features.shape == (1, 38)
+        assert np.all(features[0, 14:19] == 0) and np.all(features[0, 33:38] == 0)
+
+    def test_every_window_dropped_keeps_feature_width(self):
+        # one 90-sample window with 45 samples of each label is a tie
+        recording = make_recording(90, labels=np.arange(90) % 2)
+        dataset = build_features(recording)
+        assert dataset.features.shape == (0, 38)
+        assert dataset.dim == 38
+
+    @pytest.mark.parametrize(
+        "where, raises",
+        [(20, True), (120, False), (280, False)],
+        ids=["kept window", "dropped tie window", "trailing partial window"],
+    )
+    def test_non_finite_sample_only_matters_in_kept_windows(self, where, raises):
+        # 3 s windows at 30 Hz without overlap: [0, 90) kept, [90, 180) tied
+        # and dropped, [180, 270) kept, [270, 300) never a window
+        labels = np.zeros(300, dtype=int)
+        labels[90:180:2] = 1
+        recording = make_recording(300, labels=labels)
+        recording.channels[where, 1] = np.nan
+        if raises:
+            with pytest.raises(InvalidSampleError, match="non-finite"):
+                build_features(recording, 3.0, 0.0)
+        else:
+            assert build_features(recording, 3.0, 0.0).window_index.tolist() == [0, 2]
 
 
 class TestMaxAbs:
@@ -210,11 +382,11 @@ class TestPipelineAndIO:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_feature_rejected(self, tmp_path, value):
-        # a NaN cell once loaded silently and turned na and coral into coin flips
-        features = np.ones((4, 3))
-        features[2, 1] = value
+        # a NaN cell once loaded silently and turned na and coral into coin flips;
+        # the file is written by hand since a FeatureDataset refuses the cell
+        rows = [f"{i},{i % 2},1.0,{value if i == 2 else 1.0},1.0" for i in range(4)]
         path = tmp_path / "ub.csv"
-        save_features(make_dataset(features, labels=[0, 1, 0, 1]), path)
+        path.write_text("\n".join(["window_index,label,f0,f1,f2", *rows]))
         with pytest.raises(InvalidSampleError, match="ub.csv"):
             load_features(path)
 
@@ -237,6 +409,13 @@ class TestPipelineAndIO:
     def test_window_index_must_increase(self):
         with pytest.raises(ValueError):
             FeatureDataset(np.zeros((2, 3)), None, np.array([1, 1]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_in_memory_dataset_rejected(self, value):
+        features = np.ones((4, 3))
+        features[2, 1] = value
+        with pytest.raises(InvalidSampleError, match="non-finite"):
+            FeatureDataset(features, None, np.arange(4))
 
     def test_fit_maxabs_empty(self):
         with pytest.raises(InsufficientDataError):
