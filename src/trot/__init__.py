@@ -20,8 +20,6 @@ from .hmm import (
     TemporalAtlas,
     assign_dataset_states,
     assign_states,
-    atlas_from_json,
-    atlas_to_json,
     build_atlas,
     fit_activity_hmm,
 )

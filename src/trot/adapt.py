@@ -60,13 +60,13 @@ def transform_samples(
     by `assign_dataset_states`.  Window order, indices and labels are kept.
     """
     classes, orders = state_assignment
-    lookup = {key: i for i, key in enumerate(mapped.keys)}
-    rows = np.empty(len(src_dataset), dtype=int)
-    for i, key in enumerate(zip(classes, orders)):
-        si = lookup.get((int(key[0]), int(key[1])))
-        if si is None:
-            raise TrotError(f"window {i} assigned to unknown state {key}")
-        rows[i] = si
+    keys = np.array(mapped.keys, dtype=int).reshape(-1, 2)
+    match = (classes[:, None] == keys[:, 0]) & (orders[:, None] == keys[:, 1])
+    known = match.any(axis=1)
+    if not known.all():
+        i = int(np.argmin(known))
+        raise TrotError(f"window {i} assigned to unknown state ({classes[i]}, {orders[i]})")
+    rows = match.argmax(axis=1)
     return replace(src_dataset, features=src_dataset.features + mapped.displacement[rows])
 
 

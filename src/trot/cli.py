@@ -7,6 +7,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +51,12 @@ def _adapt_grid(args):
         )
     grid = default_grid(args.method)
     if args.method == "trot":
-        grid = tuple(h for h in grid if h.n_states == args.states) or grid
+        # the 36 (lambda, eta, tau) points of the default grid at --states and --order-mode
+        grid = tuple(
+            replace(h, n_states=args.states, order_mode=args.order_mode)
+            for h in grid
+            if h.n_states == grid[0].n_states
+        )
     return grid
 
 

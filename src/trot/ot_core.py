@@ -23,11 +23,14 @@ paths.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DimensionMismatchError, NumericalFailureError
-from .hmm import TemporalAtlas
+
+if TYPE_CHECKING:
+    from .hmm import TemporalAtlas
 
 ENTROPY_GRAD_FLOOR = -745.0  # log of the smallest positive double
 SCALING_MIN, SCALING_MAX = 1e-150, 1e150  # sinkhorn scalings kept in range

@@ -146,13 +146,15 @@ def segment(recording: Recording, window_seconds: float, overlap_fraction: float
 
 
 def _moments(x: np.ndarray):
-    """Population mean/var/std/skewness/excess kurtosis over the last axis;
-    where the std is 0, skewness and kurtosis are 0 so every feature stays
-    finite."""
+    """Population mean/var/std/skewness/excess kurtosis over the last axis.
+
+    A series whose std is at most 1e-9 of its mean is flat up to rounding:
+    its skewness and kurtosis would standardize rounding noise, so they are 0.
+    """
     mean = x.mean(axis=-1)
     var = x.var(axis=-1)
     std = np.sqrt(var)
-    flat = std == 0.0
+    flat = std <= 1e-9 * np.abs(mean)
     z = (x - mean[..., None]) / np.where(flat, 1.0, std)[..., None]
     z2 = z * z
     skew = np.where(flat, 0.0, (z2 * z).mean(axis=-1))

@@ -86,7 +86,7 @@ def _schedule(spec: SynthSpec) -> list[tuple[int, int]]:
     return blocks
 
 
-def _truth_atlas(mu: np.ndarray, spec: SynthSpec, user_id: str) -> TemporalAtlas:
+def _truth_atlas(mu: np.ndarray, spec: SynthSpec) -> TemporalAtlas:
     states = [
         GaussianState(
             mu[c, k].copy(),
@@ -97,8 +97,7 @@ def _truth_atlas(mu: np.ndarray, spec: SynthSpec, user_id: str) -> TemporalAtlas
         for c in range(spec.n_classes)
         for k in range(spec.n_states)
     ]
-    weights = np.full(len(states), 1.0 / len(states))
-    return TemporalAtlas(states, weights, user_id, spec.n_states)
+    return TemporalAtlas(states)
 
 
 def generate_user(
@@ -117,7 +116,7 @@ def generate_user(
     dataset = FeatureDataset(
         features, np.concatenate(labels), np.arange(len(features)), user_id
     )
-    return dataset, _truth_atlas(mu, spec, user_id)
+    return dataset, _truth_atlas(mu, spec)
 
 
 def generate_pair(spec: SynthSpec):

@@ -22,14 +22,13 @@ def make_dataset(features, labels=None, start=0, user_id="u"):
     return FeatureDataset(features, labels, index, user_id)
 
 
-def make_atlas(means, classes, orders, user_id="u", var=1e-4):
+def make_atlas(means, classes, orders, var=1e-4):
     means = np.atleast_2d(np.asarray(means, dtype=float))
     states = [
         GaussianState(m, np.full(means.shape[1], var), int(c), int(o))
         for m, c, o in zip(means, classes, orders)
     ]
-    weights = np.full(len(states), 1.0 / len(states))
-    return TemporalAtlas(states, weights, user_id, int(max(orders)))
+    return TemporalAtlas(states)
 
 
 @pytest.fixture

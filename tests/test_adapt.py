@@ -3,7 +3,7 @@ import pytest
 
 from trot.adapt import barycentric_map, barycentric_project, coral_align, transform_samples
 from trot.errors import DegenerateCouplingError, DimensionMismatchError, TrotError
-from trot.hmm import assign_dataset_states, build_atlas
+from trot.hmm import TemporalAtlas, assign_dataset_states, build_atlas
 from trot.ot_core import Coupling
 
 from .conftest import make_atlas, make_dataset
@@ -99,6 +99,17 @@ class TestTransformSamples:
             before = ds.features[members].mean(axis=0)
             after = out.features[members].mean(axis=0)
             assert np.allclose(after - before, mapped.displacement[i], atol=1e-12)
+
+    def test_states_out_of_canonical_order(self, rng):
+        # keys are matched by value, not by position in the (class, order) layout
+        ds, atlas, assignment = self._setup(rng)
+        src = TemporalAtlas(atlas.states[::-1])
+        tgt = make_atlas(src.means + np.arange(8.0).reshape(4, 2), src.classes, src.orders)
+        mapped = barycentric_map(coupling(np.eye(4) / 4), src, tgt)
+        out = transform_samples(ds, assignment, mapped)
+        for i, key in enumerate(zip(*assignment)):
+            shift = mapped.displacement[mapped.keys.index(key)]
+            assert np.array_equal(out.features[i], ds.features[i] + shift)
 
     def test_preserves_count_order_labels(self, rng):
         ds, atlas, assignment = self._setup(rng)

@@ -1,10 +1,12 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from trot.cli import main
+from trot.cli import _adapt_grid, build_parser, main
+from trot.harness import default_grid
 from trot.preprocess import load_features
 
 
@@ -48,6 +50,19 @@ def test_preprocess_recording_without_kept_windows(tmp_path):
     header, *rows = (out / "userB.csv").read_text().splitlines()
     assert header.split(",")[-1] == "f37"
     assert rows == []
+
+
+def _adapt_grid_for(*flags):
+    argv = ["adapt", "--source", "s.csv", "--target", "t.csv", *flags]
+    return _adapt_grid(build_parser().parse_args(argv))
+
+
+def test_default_trot_grid_follows_states_and_order_mode():
+    default = _adapt_grid_for()
+    assert default == tuple(h for h in default_grid("trot") if h.n_states == 4)
+    # the same 36 (lambda, eta, tau) points, at the asked chain length and order mode
+    grid = _adapt_grid_for("--states", "3", "--order-mode", "matched")
+    assert grid == tuple(replace(h, n_states=3, order_mode="matched") for h in default)
 
 
 def test_synth_adapt_matrix_roundtrip(tmp_path, capsys):

@@ -6,8 +6,6 @@ from trot.hmm import (
     VARIANCE_FLOOR,
     assign_dataset_states,
     assign_states,
-    atlas_from_json,
-    atlas_to_json,
     build_atlas,
     contiguous_runs,
     fit_activity_hmm,
@@ -151,9 +149,9 @@ class TestBuildAtlas:
         ]
 
     def test_missing_class_raises(self, rng):
-        ds = make_dataset(rng.normal(0, 1, (10, 2)), labels=np.zeros(10, dtype=int))
+        ds = make_dataset(rng.normal(0, 1, (10, 2)))
         with pytest.raises(ClassAbsentError, match="class absent"):
-            build_atlas(ds, 2, classes=[0, 1])
+            build_atlas(ds, 2)
 
     def test_recovers_synthetic_means(self):
         spec = SynthSpec(4, 4, 200, 4, noise_std=0.3, seed=9)
@@ -169,17 +167,10 @@ class TestBuildAtlas:
         labels = np.repeat([0, 1, 2], 10)
         a1 = build_atlas(make_dataset(feats, labels), 2)
         a2 = build_atlas(make_dataset(feats, labels), 2)
-        assert atlas_to_json(a1) == atlas_to_json(a2)
-
-    def test_json_roundtrip(self, rng):
-        feats = rng.normal(0, 1, (20, 3))
-        atlas = build_atlas(make_dataset(feats, np.repeat([0, 1], 10)), 2)
-        back = atlas_from_json(atlas_to_json(atlas))
-        assert len(back) == len(atlas)
-        for a, b in zip(atlas.states, back.states):
-            assert (a.class_id, a.order) == (b.class_id, b.order)
-            assert np.array_equal(a.mean, b.mean)
-            assert np.array_equal(a.var, b.var)
+        assert np.array_equal(a1.means, a2.means)
+        assert np.array_equal([s.var for s in a1.states], [s.var for s in a2.states])
+        assert np.array_equal(a1.classes, a2.classes)
+        assert np.array_equal(a1.orders, a2.orders)
 
     def test_assign_dataset_states_matches_atlas(self, rng):
         feats = rng.normal(0, 1, (24, 2))

@@ -221,6 +221,20 @@ class TestSensorFeatures:
         _, _, _, skew, _ = _moments(np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
         assert abs(skew) < 1e-12
 
+    @pytest.mark.parametrize(
+        "x, moments",
+        [
+            ([1, 1, 1, 1, 2], slice(17, 19)),
+            ([0.3, 0.5] * 3, slice(12, 14)),
+            ([0.1, 0.7] * 2, slice(12, 14)),
+        ],
+        ids=["flat spectrum", "flat amplitude", "flat amplitude of 4"],
+    )
+    def test_flat_up_to_rounding_has_zero_skew_and_kurtosis(self, x, moments):
+        # the std here is rounding noise: [0.885, -1.64], [-0.484, -1.895]
+        # and [1.414, -1.0] before the flat rule
+        assert sensor_features(np.array(x, dtype=float))[moments].tolist() == [0.0, 0.0]
+
     def test_sine_oracle_frozen(self):
         got = sensor_features(SINE16)
         assert got == pytest.approx(SINE16_FEATURES, abs=1e-12)
@@ -286,10 +300,13 @@ class TestBuildFeaturesMatchesReference:
             constant = r[:, 7] == 0
             assert np.all(g[constant, SPECTRUM] == 0)
             close[constant, SPECTRUM] = True
-            # a spectrum flat up to rounding (a constant with one odd sample)
-            # has skewness and kurtosis of pure noise in both extractors
-            flat = r[:, 16] <= 1e-9 * r[:, 14]
-            close[flat, 17:19] = True
+            # a spectrum (a constant with one odd sample) or an amplitude (two
+            # values, equally often) flat up to rounding has zero skewness and
+            # kurtosis; the reference standardizes rounding noise there
+            for std, mean, moments in ((16, 14, slice(17, 19)), (11, 9, slice(12, 14))):
+                flat = r[:, std] <= 1e-9 * r[:, mean]
+                assert np.all(g[flat, moments] == 0)
+                close[flat, moments] = True
             assert np.all(close), np.argwhere(~close)
 
     @pytest.mark.parametrize("n", [4, 5, 90, 150])
