@@ -80,6 +80,8 @@ def _cmd_adapt(args) -> int:
 
 def _cmd_matrix(args) -> int:
     methods = [m.strip().lower() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise TrotError(f"no methods given; choose from {', '.join(METHODS)}")
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise TrotError(f"unknown methods: {', '.join(unknown)}")

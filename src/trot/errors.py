@@ -14,7 +14,7 @@ class InvalidOverlapError(TrotError):
 
 
 class InvalidSampleError(TrotError):
-    """Non-finite value encountered in raw sensor data."""
+    """Malformed, non-finite or non-integral value in an input file or window."""
 
 
 class ScalerMismatchError(TrotError):

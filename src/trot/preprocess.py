@@ -1,10 +1,13 @@
-"""Sliding-window segmentation, per-window features and max-abs scaling.
+"""Sliding-window segmentation, per-window features, max-abs scaling, CSV I/O.
 
 Raw recordings carry six channels (3-axis accelerometer + 3-axis gyroscope).
 Each sensor triple is combined into a magnitude series and 19 statistical
 features are extracted per sensor, giving 38 features per window.  Every
 feature is a reduction over the last axis, so one series and a
-`(n_windows, w)` stack of windows go through the same code.
+`(n_windows, w)` stack of windows go through the same code; the majority
+vote of `segment` is one `np.bincount` over all windows.  CSV bodies are
+parsed by `np.loadtxt` and written by `np.savetxt`, with no Python loop
+over rows or cells.
 """
 
 from __future__ import annotations
@@ -16,17 +19,9 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    DimensionMismatchError,
-    InsufficientDataError,
-    InvalidOverlapError,
-    InvalidSampleError,
-    ScalerMismatchError,
-)
+from .errors import InsufficientDataError, InvalidOverlapError, InvalidSampleError, ScalerMismatchError
 
 CHANNEL_NAMES = ("acc_x", "acc_y", "acc_z", "gyro_x", "gyro_y", "gyro_z")
-FEATURES_PER_SENSOR = 19
-FEATURE_DIM = 2 * FEATURES_PER_SENSOR
 
 
 @dataclass(frozen=True)
@@ -111,6 +106,22 @@ def magnitude(x, y, z):
     return np.sqrt(np.asarray(x) ** 2 + np.asarray(y) ** 2 + np.asarray(z) ** 2)
 
 
+def _window_geometry(recording: Recording, window_seconds: float, overlap_fraction: float):
+    """(w, s): the window length and step s = round(w * (1 - overlap_fraction))
+    in samples, checked against each other and the recording's length."""
+    if not 0 <= overlap_fraction < 1:
+        raise InvalidOverlapError("invalid overlap: fraction must be in [0, 1)")
+    w = int(round(window_seconds * recording.sample_rate))
+    if w < 2:
+        raise InsufficientDataError("insufficient data: window shorter than 2 samples")
+    if len(recording) < w:
+        raise InsufficientDataError(f"insufficient data: {len(recording)} samples < window of {w}")
+    step = int(round(w * (1.0 - overlap_fraction)))
+    if step == 0:
+        raise InvalidOverlapError("invalid overlap: step rounds to 0 samples")
+    return w, step
+
+
 def segment(recording: Recording, window_seconds: float, overlap_fraction: float) -> list[RawWindow]:
     """Cut a recording into fixed-duration windows with fractional overlap.
 
@@ -119,30 +130,20 @@ def segment(recording: Recording, window_seconds: float, overlap_fraction: float
     discarded.  Each window gets the most frequent label of its samples;
     windows whose top label count is tied are dropped.
     """
-    if not 0 <= overlap_fraction < 1:
-        raise InvalidOverlapError("invalid overlap: fraction must be in [0, 1)")
-    w = int(round(window_seconds * recording.sample_rate))
-    if w < 2:
-        raise InsufficientDataError("insufficient data: window shorter than 2 samples")
-    if len(recording) < w:
-        raise InsufficientDataError(
-            f"insufficient data: {len(recording)} samples < window of {w}"
-        )
-    step = int(round(w * (1.0 - overlap_fraction)))
-    if step == 0:
-        raise InvalidOverlapError("invalid overlap: step rounds to 0 samples")
-
-    windows = []
-    for start in range(0, len(recording) - w + 1, step):
-        labels = recording.labels[start : start + w]
-        values, counts = np.unique(labels, return_counts=True)
-        top = counts.max()
-        if np.count_nonzero(counts == top) > 1:
-            continue  # ambiguous label, drop the window
-        windows.append(
-            RawWindow(start, recording.channels[start : start + w], int(values[np.argmax(counts)]))
-        )
-    return windows
+    w, step = _window_geometry(recording, window_seconds, overlap_fraction)
+    values, codes = np.unique(recording.labels, return_inverse=True)
+    windows = sliding_window_view(codes, w)[::step]
+    n, k = len(windows), len(values)
+    # one bincount over (window, label code) pairs: row i counts window i's labels
+    pairs = windows + k * np.arange(n)[:, None]
+    counts = np.bincount(pairs.ravel(), minlength=n * k).reshape(n, k)
+    top = counts.max(axis=1, keepdims=True)
+    kept = np.flatnonzero(np.count_nonzero(counts == top, axis=1) == 1)  # ties are dropped
+    labels = values[counts[kept].argmax(axis=1)].astype(int)
+    return [
+        RawWindow(start, recording.channels[start : start + w], label)
+        for start, label in zip((kept * step).tolist(), labels.tolist())
+    ]
 
 
 def _moments(x: np.ndarray):
@@ -218,22 +219,9 @@ def sensor_features(x: np.ndarray) -> np.ndarray:
     lo, hi = x.min(axis=-1), x.max(axis=-1)
     amplitude = np.abs(x - mean[..., None])
     spectrum = np.abs(np.fft.rfft(x - x[..., :1], axis=-1))[..., 1:]
-    return np.stack(
-        [
-            mean,
-            var,
-            std,
-            _mode(x),
-            hi,
-            lo,
-            _mean_crossing_rate(x),
-            hi - lo,
-            mean,  # DC component = zero-frequency bin / n
-            *_moments(amplitude),
-            *_moments(spectrum),
-        ],
-        axis=-1,
-    )
+    # the last of the nine is the DC component: zero-frequency bin / n = mean
+    signal = [mean, var, std, _mode(x), hi, lo, _mean_crossing_rate(x), hi - lo, mean]
+    return np.stack([*signal, *_moments(amplitude), *_moments(spectrum)], axis=-1)
 
 
 def extract_features(*sensor_series: np.ndarray) -> np.ndarray:
@@ -251,9 +239,8 @@ def build_features(
     series are computed once per recording and the kept windows gathered
     from them as one `(n_windows, w)` stack per sensor.
     """
+    w, step = _window_geometry(recording, window_seconds, overlap_fraction)
     raw = segment(recording, window_seconds, overlap_fraction)
-    w = int(round(window_seconds * recording.sample_rate))
-    step = int(round(w * (1.0 - overlap_fraction)))
     starts = np.array([win.start for win in raw], dtype=int)
     c = recording.channels
     sensors = (magnitude(c[:, 0], c[:, 1], c[:, 2]), magnitude(c[:, 3], c[:, 4], c[:, 5]))
@@ -288,64 +275,70 @@ def maxabs_fit_apply(dataset: FeatureDataset, reference_scaler=None) -> FeatureD
     return replace(dataset, features=dataset.features / scale, scaler=scale)
 
 
+def _read_csv(path: Path, header_ok) -> np.ndarray:
+    """The numeric body of a CSV whose header passes `header_ok`, every row as
+    wide as the header; a `#` is a bad value, not a comment."""
+    with open(path, newline="") as fh:
+        header = next(csv.reader([fh.readline()]), [])
+        if not header_ok(header):
+            raise InvalidSampleError(f"invalid sample: bad header in {path.name}")
+        body = fh.tell()
+        if not any(line.strip() for line in fh):  # stops at the first row with content
+            raise InsufficientDataError(f"insufficient data: {path.name} is empty")
+        fh.seek(body)
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, quotechar='"')
+        except ValueError as exc:
+            raise InvalidSampleError(f"invalid sample: {exc} in {path.name}") from exc
+    if data.shape[1] != len(header):
+        width = f"{data.shape[1]} values under {len(header)} columns"
+        raise InvalidSampleError(f"invalid sample: {width} in {path.name}")
+    return data
+
+
+def _integral(x: np.ndarray) -> bool:
+    """True when every value is a finite integer that fits in int64."""
+    return bool(np.all((np.trunc(x) == x) & (np.abs(x) < 2.0**63)))
+
+
 def load_recording(path, sample_rate: float, user_id: str | None = None) -> Recording:
     """Read a `timestamp,acc_*,gyro_*,label` CSV into a Recording."""
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        expected = ["timestamp", *CHANNEL_NAMES, "label"]
-        if [h.strip() for h in header] != expected:
-            raise InvalidSampleError(f"invalid sample: bad header in {path.name}")
-        rows = [[float(v) for v in row] for row in reader if row]
-    data = np.asarray(rows)
-    if len(data) == 0:
-        raise InsufficientDataError(f"insufficient data: {path.name} is empty")
+    header = ["timestamp", *CHANNEL_NAMES, "label"]
+    data = _read_csv(path, lambda found: [h.strip() for h in found] == header)
+    if not np.all(np.isfinite(data[:, 0])):
+        raise InvalidSampleError(f"invalid sample: non-finite timestamp in {path.name}")
     if np.any(np.diff(data[:, 0]) < 0):
         raise InvalidSampleError(f"invalid sample: timestamps decrease in {path.name}")
-    return Recording(
-        sample_rate=sample_rate,
-        channels=data[:, 1:7],
-        labels=data[:, 7].astype(int),
-        user_id=user_id if user_id is not None else path.stem,
-    )
+    if not _integral(data[:, 7]):
+        raise InvalidSampleError(f"invalid sample: non-integral label in {path.name}")
+    user_id = user_id if user_id is not None else path.stem
+    return Recording(sample_rate, data[:, 1:7], data[:, 7].astype(int), user_id)
 
 
 def save_features(dataset: FeatureDataset, path) -> None:
-    """Write `window_index,label,f0..f{d-1}` CSV (label -1 when unlabeled)."""
+    """Write `window_index,label,f0..f{d-1}` CSV (label -1 when unlabeled).
+
+    Features go out as Python floats, whose `%s` is `repr(float)`, and rows
+    end in CRLF, so the bytes are those a `csv.writer` row loop gives."""
+    labels = dataset.labels if dataset.labels is not None else np.full(len(dataset), -1)
+    header = ",".join(["window_index", "label", *(f"f{i}" for i in range(dataset.dim))])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["window_index", "label", *(f"f{i}" for i in range(dataset.dim))])
-        labels = dataset.labels if dataset.labels is not None else np.full(len(dataset), -1)
-        for i in range(len(dataset)):
-            writer.writerow(
-                [
-                    int(dataset.window_index[i]),
-                    int(labels[i]),
-                    *(repr(float(v)) for v in dataset.features[i]),
-                ]
-            )
+        np.savetxt(
+            fh, np.column_stack([dataset.window_index, labels, dataset.features.astype(object)]),
+            fmt=["%d", "%d"] + ["%s"] * dataset.dim, delimiter=",", newline="\r\n",
+            header=header, comments="",
+        )
 
 
 def load_features(path, user_id: str | None = None) -> FeatureDataset:
     """Read a feature CSV written by `save_features`."""
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:2] != ["window_index", "label"]:
-            raise InvalidSampleError(f"invalid sample: bad header in {path.name}")
-        rows = [row for row in reader if row]
-    if not rows:
-        raise InsufficientDataError(f"insufficient data: {path.name} is empty")
-    index = np.array([int(r[0]) for r in rows])
-    labels = np.array([int(r[1]) for r in rows])
-    feats = np.array([[float(v) for v in r[2:]] for r in rows])
-    if not np.all(np.isfinite(feats)):
+    data = _read_csv(path, lambda header: header[:2] == ["window_index", "label"])
+    if not _integral(data[:, :2]):
+        raise InvalidSampleError(f"invalid sample: non-integral window_index or label in {path.name}")
+    if not np.all(np.isfinite(data[:, 2:])):
         raise InvalidSampleError(f"invalid sample: non-finite feature in {path.name}")
-    return FeatureDataset(
-        feats,
-        None if np.all(labels == -1) else labels,
-        index,
-        user_id if user_id is not None else path.stem,
-    )
+    index, labels = data[:, :2].astype(int).T
+    user_id = user_id if user_id is not None else path.stem
+    return FeatureDataset(data[:, 2:], None if np.all(labels == -1) else labels, index, user_id)

@@ -105,3 +105,13 @@ def test_matrix_rejects_unknown_method(tmp_path, capsys):
     assert main(["matrix", "--data", str(tmp_path), "--methods", "magic",
                  "--out", str(tmp_path / "m.json")]) == 1
     assert "magic" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("methods", [",", " , ", ""])
+def test_matrix_rejects_empty_method_list(tmp_path, capsys, methods):
+    # an empty list once wrote a report with no tasks, then crashed in render_table
+    out = tmp_path / "m.json"
+    assert main(["matrix", "--data", str(tmp_path), "--methods", methods, "--out", str(out)]) == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "TrotError" and "no methods" in payload["message"]
+    assert not out.exists()

@@ -1,3 +1,6 @@
+import csv
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -11,6 +14,7 @@ from trot.errors import (
 )
 from trot.preprocess import (
     FeatureDataset,
+    RawWindow,
     Recording,
     build_features,
     extract_features,
@@ -68,12 +72,44 @@ def _reference_moments(x):
     return mean, var, std, (z**3).mean(), (z**4).mean() - 3.0
 
 
+def reference_segment(recording, window_seconds, overlap_fraction):
+    """The per-window majority vote, one `np.unique` per window: what the
+    single-bincount `segment` is compared against."""
+    w = int(round(window_seconds * recording.sample_rate))
+    step = int(round(w * (1.0 - overlap_fraction)))
+    windows = []
+    for start in range(0, len(recording) - w + 1, step):
+        values, counts = np.unique(recording.labels[start : start + w], return_counts=True)
+        if np.count_nonzero(counts == counts.max()) > 1:
+            continue  # ambiguous label, drop the window
+        windows.append(
+            RawWindow(start, recording.channels[start : start + w], int(values[np.argmax(counts)]))
+        )
+    return windows
+
+
+def reference_save_features(dataset, path):
+    """The `csv.writer` row loop whose bytes `save_features` reproduces."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["window_index", "label", *(f"f{i}" for i in range(dataset.dim))])
+        labels = dataset.labels if dataset.labels is not None else np.full(len(dataset), -1)
+        for i in range(len(dataset)):
+            writer.writerow(
+                [
+                    int(dataset.window_index[i]),
+                    int(labels[i]),
+                    *(repr(float(v)) for v in dataset.features[i]),
+                ]
+            )
+
+
 def reference_build_features(recording, window_seconds, overlap_fraction):
     """(features, labels, window_index) from a loop over the segmented windows."""
     w = int(round(window_seconds * recording.sample_rate))
     step = int(round(w * (1.0 - overlap_fraction)))
     rows, labels, index = [], [], []
-    for win in segment(recording, window_seconds, overlap_fraction):
+    for win in reference_segment(recording, window_seconds, overlap_fraction):
         acc = magnitude(win.samples[:, 0], win.samples[:, 1], win.samples[:, 2])
         gyro = magnitude(win.samples[:, 3], win.samples[:, 4], win.samples[:, 5])
         rows.append(np.concatenate([reference_sensor_features(acc), reference_sensor_features(gyro)]))
@@ -82,6 +118,7 @@ def reference_build_features(recording, window_seconds, overlap_fraction):
     return np.reshape(rows, (-1, 38)), np.array(labels, dtype=int), np.array(index, dtype=int)
 
 
+RECORDING_HEADER = "timestamp,acc_x,acc_y,acc_z,gyro_x,gyro_y,gyro_z,label"
 SPECTRUM = slice(14, 19)  # mean/var/std/skew/kurtosis of the magnitude spectrum
 
 
@@ -120,7 +157,53 @@ def recordings(draw):
     return Recording(rate, channels, labels, "u"), window_seconds, overlap
 
 
+@st.composite
+def labelled_recordings(draw):
+    """A recording at 1 Hz with its window length and overlap, for the vote.
+
+    Labels come from up to 20 distinct values, negative ones included, as
+    long runs, alternation, short runs of two labels (many ties) or
+    independent draws; channel values are the sample positions.
+    """
+    w = draw(st.integers(2, 150))
+    overlap = draw(st.floats(0.0, 0.9))
+    step = int(round(w * (1.0 - overlap)))
+    assume(step >= 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = w + rng.integers(0, 40) * step + rng.integers(0, step)
+    alphabet = rng.choice(np.arange(-30, 30), rng.integers(1, 21), replace=False)
+    kind = rng.integers(4)
+    if kind == 0:  # long runs
+        labels = np.repeat(rng.choice(alphabet, n), rng.integers(1, 4 * w, n))[:n]
+    elif kind == 1:  # alternating
+        labels = alphabet[np.arange(n) % len(alphabet)]
+    elif kind == 2:  # two labels in runs of 1, 2, w/4 or w/2: many tied windows
+        runs = rng.choice([1, 2, max(1, w // 2), max(1, w // 4)], n)
+        labels = np.repeat(alphabet[:2][np.arange(n) % min(2, len(alphabet))], runs)[:n]
+    else:
+        labels = rng.choice(alphabet, n)
+    channels = np.arange(6 * n, dtype=float).reshape(n, 6)
+    return Recording(1.0, channels, labels, "u"), float(w), overlap
+
+
 class TestSegment:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(labelled_recordings())
+    def test_matches_per_window_vote(self, drawn):
+        recording, window_seconds, overlap = drawn
+        got = segment(recording, window_seconds, overlap)
+        want = reference_segment(recording, window_seconds, overlap)
+        assert [win.start for win in got] == [win.start for win in want]
+        assert [win.label for win in got] == [win.label for win in want]
+        assert all(np.array_equal(g.samples, r.samples) for g, r in zip(got, want))
+
+    def test_tie_between_negative_and_positive_label_drops_window(self):
+        # 3 of label -2 and 3 of label 5 tie, so the lower label does not win;
+        # then 4 of label 5 win over 2 of -2
+        labels = np.array([-2] * 3 + [5] * 3 + [5] * 4 + [-2] * 2)
+        recording = Recording(1.0, np.zeros((12, 6)), labels)
+        assert [(win.start, win.label) for win in segment(recording, 6.0, 0.0)] == [(6, 5)]
+
     def test_offsets_and_count(self):
         rec = make_recording(300, sample_rate=30.0)
         windows = segment(rec, 3.0, 0.5)
@@ -416,6 +499,112 @@ class TestPipelineAndIO:
         rec = load_recording(path, 30.0)
         assert len(rec) == 4 and rec.user_id == "rec"
         assert rec.labels.tolist() == [0, 1, 0, 1]
+
+    @pytest.mark.parametrize(
+        "features, labels",
+        [
+            ([[-0.0, 5e-324, 1e-5], [0.1 + 0.2, 1e16, 1e300]], [3, -2]),
+            ([[-0.0, 5e-324, 1e-5], [0.1 + 0.2, -1e16, -1e300]], None),
+            (np.zeros((0, 4)), None),
+        ],
+        ids=["edge values", "unlabeled", "no windows"],
+    )
+    def test_save_features_bytes_match_csv_writer(self, tmp_path, features, labels):
+        ds = make_dataset(features, labels=labels)
+        save_features(ds, tmp_path / "got.csv")
+        reference_save_features(ds, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_save_features_random_bytes_match_csv_writer(self, tmp_path, rng):
+        features = rng.normal(0, 1, (20, 38)) * 10.0 ** rng.integers(-320, 300, (20, 38))
+        ds = make_dataset(features, labels=rng.integers(0, 5, 20), start=10**12)
+        save_features(ds, tmp_path / "got.csv")
+        reference_save_features(ds, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        back = load_features(tmp_path / "got.csv")
+        assert np.array_equal(back.features, ds.features)
+        assert np.array_equal(back.window_index, ds.window_index)
+
+    @pytest.mark.parametrize("text", ["0,1,#,1.0", "# 0,1,1.0,1.0", "0,1,1.0,1.0 # note"])
+    def test_hash_is_a_bad_value_not_a_comment(self, tmp_path, text):
+        path = tmp_path / "uc.csv"
+        path.write_text(f"window_index,label,f0,f1\n0,0,1.0,1.0\n{text}\n")
+        with pytest.raises(InvalidSampleError, match="uc.csv"):
+            load_features(path)
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "nan,1,2,2,0.1,0.2,0.2,0",
+            "inf,1,2,2,0.1,0.2,0.2,0",
+            "0.05,1,2,2,0.1,0.2,0.2,nan",
+            "0.05,1,2,2,0.1,0.2,0.2,inf",
+            "0.05,1,2,2,0.1,0.2,0.2,2.7",
+            "0.05,1,2,2,0.1,0.2,0.2,1e30",
+            "0.05,1,2,2,0.1,0.2,0.2",
+            "0.05,1,2,2,0.1,0.2,0.2,0,0",
+            "0.05,1,2,2,0.1,#,0.2,0",
+        ],
+        ids=[
+            "nan timestamp", "inf timestamp", "nan label", "inf label", "fractional label",
+            "label beyond int64", "short row", "long row", "hash cell",
+        ],
+    )
+    def test_recording_bad_row_rejected(self, tmp_path, row):
+        # a nan label once became class -9223372036854775808 and 2.7 became class 2
+        path = tmp_path / "rec.csv"
+        path.write_text(f"{RECORDING_HEADER}\n0.0,1,2,2,0.1,0.2,0.2,0\n{row}\n0.1,1,2,2,0.1,0.2,0.2,0\n")
+        with pytest.raises(InvalidSampleError, match="rec.csv"):
+            load_recording(path, 30.0)
+
+    def test_recording_rows_wider_than_header_rejected(self, tmp_path):
+        # every row agrees with every other, but not with the header
+        path = tmp_path / "rec.csv"
+        path.write_text(f"{RECORDING_HEADER}\n" + "0,1,2,2,0.1,0.2,0.2,0,9\n" * 3)
+        with pytest.raises(InvalidSampleError, match="9 values under 8 columns in rec.csv"):
+            load_recording(path, 30.0)
+
+    def test_recording_integral_float_label_accepted(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        path.write_text(f"{RECORDING_HEADER}\r\n0.0,1,2,2,0.1,0.2,0.2,2.0\r\n\r\n0.1,1,2,2,0.1,0.2,0.2,-3\r\n")
+        assert load_recording(path, 30.0).labels.tolist() == [2, -3]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["0,0,1.0,1.0", "1.5,0,1.0,1.0"],
+            ["0,0,1.0,1.0", "1,0.5,1.0,1.0"],
+            ["0,0,1.0,1.0", "1,nan,1.0,1.0"],
+            ["0,0,1.0,1.0", "1,0,1.0"],
+            ["0,0,1.0,1.0,1.0", "1,0,1.0,1.0,1.0"],
+        ],
+        ids=["fractional window_index", "fractional label", "nan label", "short row", "rows wider than header"],
+    )
+    def test_feature_bad_row_rejected(self, tmp_path, rows):
+        path = tmp_path / "ud.csv"
+        path.write_text("\n".join(["window_index,label,f0,f1", *rows]))
+        with pytest.raises(InvalidSampleError, match="ud.csv"):
+            load_features(path)
+
+    @pytest.mark.parametrize("loader", ["features", "recording"])
+    @pytest.mark.parametrize("body", ["", "\r\n", "\n\n"])
+    def test_empty_body_raises_without_warning(self, tmp_path, loader, body):
+        header = "window_index,label,f0" if loader == "features" else RECORDING_HEADER
+        path = tmp_path / "ue.csv"
+        path.write_text(header + "\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InsufficientDataError, match="insufficient data: ue.csv is empty"):
+                if loader == "features":
+                    load_features(path)
+                else:
+                    load_recording(path, 30.0)
+
+    def test_empty_file_is_a_bad_header(self, tmp_path):
+        path = tmp_path / "uf.csv"
+        path.write_text("")
+        with pytest.raises(InvalidSampleError, match="bad header in uf.csv"):
+            load_features(path)
 
     def test_recording_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
