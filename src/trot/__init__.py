@@ -25,14 +25,13 @@ from .hmm import (
 )
 from .ot_core import (
     Coupling,
-    OrderGroups,
     TrotHyperparams,
     cost_matrix,
     entropy,
     gcg_solve,
     group_sparse,
-    order_groups,
     pairwise_sq_dists,
+    same_order_mask,
     sinkhorn,
     temporal_reg,
 )

@@ -21,13 +21,11 @@ from .adapt import barycentric_map, barycentric_project, coral_align, transform_
 from .errors import DimensionMismatchError, InsufficientDataError, TrotError
 from .hmm import assign_dataset_states, build_atlas
 from .ot_core import (
-    OrderGroups,
     TrotHyperparams,
-    class_groups_from_labels,
     cost_matrix,
     gcg_solve,
-    order_groups,
     pairwise_sq_dists,
+    same_order_mask,
     sinkhorn,
 )
 from .preprocess import FeatureDataset, fit_maxabs, load_features, maxabs_fit_apply
@@ -174,12 +172,10 @@ def _fit_method(
         a = np.full(len(src_sub), 1.0 / len(src_sub))
         b = np.full(len(tgt_sub), 1.0 / len(tgt_sub))
         if method == "ot":
-            coupling = sinkhorn(a, b, cost, hyper.entropy_weight, hyper.sinkhorn_iters,
-                                hyper.sinkhorn_tol)
+            coupling = sinkhorn(a, b, cost, hyper.entropy_weight, hyper.sinkhorn_iters)
             trace = None
         else:
-            groups = class_groups_from_labels(src_sub.labels)
-            coupling, trace = gcg_solve(a, b, cost, hyper, groups)
+            coupling, trace = gcg_solve(a, b, cost, hyper, src_sub.labels)
         transported = barycentric_project(coupling.values, tgt_sub.features)
         return replace(src_sub, features=transported), trace
     if method == "trot":
@@ -189,7 +185,8 @@ def _fit_method(
         tgt_atlas = build_atlas(validation.with_labels(cache["pseudo_labels"]), hyper.n_states)
         cost = cost_matrix(src_atlas, tgt_atlas)
         coupling, trace = gcg_solve(
-            src_atlas.weights, tgt_atlas.weights, cost, hyper, order_groups(src_atlas, tgt_atlas)
+            src_atlas.weights, tgt_atlas.weights, cost, hyper,
+            src_atlas.classes, same_order_mask(src_atlas, tgt_atlas),
         )
         mapped = barycentric_map(coupling, src_atlas, tgt_atlas)
         assignment = assign_dataset_states(source, hyper.n_states)
@@ -271,7 +268,14 @@ def run_matrix(
     `data` is either a directory of per-user feature CSVs (`<user>.csv`) or a
     mapping {user: FeatureDataset}.  `grids` optionally overrides the default
     hyperparameter grid per method.  Users without data are listed as skipped.
+    The method list is checked before any data is loaded.
     """
+    methods = [m.lower() for m in methods]
+    if not methods:
+        raise TrotError(f"no methods given; choose from {', '.join(METHODS)}")
+    unknown = [m for m in methods if m not in METHODS]
+    if unknown:
+        raise TrotError(f"unknown methods: {', '.join(unknown)}")
     skipped = []
     if isinstance(data, (str, Path)):
         directory = Path(data)
@@ -294,7 +298,6 @@ def run_matrix(
     if len(users) < 2:
         raise InsufficientDataError("insufficient data: need at least 2 users")
 
-    methods = [m.lower() for m in methods]
     tasks = []
     table: dict[str, dict[str, float | None]] = {}
     for method in methods:

@@ -6,8 +6,10 @@ The solver minimizes, over couplings with fixed marginals,
                   + group_weight * Omega(gamma)
                   + order_weight * T(gamma)
 
-where H is the entropy term, Omega the per-column class-group norm and T a
-group norm over same-temporal-order (or order-violating) column sets.  The
+where H is the entropy term, Omega the per-column norm over source class
+groups and T the per-row norm over same-temporal-order (or order-violating)
+columns.  Both group structures are plain arrays: the source class label of
+each row, and a (k_s, k_t) boolean mask of same-order pairs.  The
 non-entropic terms are linearized at each iterate so the direction-finding
 subproblem stays an entropic transport problem solved by Sinkhorn
 iterations; an Armijo backtracking search on the full objective keeps the
@@ -22,7 +24,7 @@ paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -35,6 +37,7 @@ if TYPE_CHECKING:
 ENTROPY_GRAD_FLOOR = -745.0  # log of the smallest positive double
 SCALING_MIN, SCALING_MAX = 1e-150, 1e150  # sinkhorn scalings kept in range
 _TINY = np.finfo(float).tiny  # a column mass below this has underflowed
+GCG_TOL = 1e-7  # relative objective decrease below which gcg_solve stops
 
 
 @dataclass
@@ -53,8 +56,6 @@ class TrotHyperparams:
     n_states: int = 4
     sinkhorn_iters: int = 10_000
     gcg_iters: int = 20
-    sinkhorn_tol: float = 1e-9
-    gcg_tol: float = 1e-7
 
     def __post_init__(self):
         if self.entropy_weight <= 0:
@@ -76,45 +77,17 @@ class TrotHyperparams:
 
 @dataclass
 class Coupling:
-    """Transport plan with its prescribed marginals and solve diagnostics."""
+    """Transport plan with its solve diagnostics."""
 
     values: np.ndarray  # (k_s, k_t), non-negative
-    row_marginal: np.ndarray
-    col_marginal: np.ndarray
     marginal_violation: float = 0.0
     iterations: int = 0
     converged: bool = True
 
 
-@dataclass
-class OrderGroups:
-    """Index sets steering the group regularizers.
-
-    `class_groups[c]` holds the source rows of one class (used by Omega);
-    `matched[i]` / `mismatched[i]` hold the target columns whose temporal
-    order equals / differs from source row i's order (used by T).
-    """
-
-    class_groups: list[np.ndarray] | None = None
-    matched: list[np.ndarray] | None = None
-    mismatched: list[np.ndarray] | None = None
-
-
-def class_groups_from_labels(labels: np.ndarray) -> OrderGroups:
-    labels = np.asarray(labels)
-    groups = [np.nonzero(labels == c)[0] for c in np.unique(labels)]
-    return OrderGroups(class_groups=groups)
-
-
-def order_groups(src_atlas: TemporalAtlas, tgt_atlas: TemporalAtlas) -> OrderGroups:
-    """Build matched/mismatched column sets and source class groups from atlases."""
-    src_orders = src_atlas.orders
-    tgt_orders = tgt_atlas.orders
-    all_cols = np.arange(len(tgt_atlas))
-    matched = [np.nonzero(tgt_orders == k)[0] for k in src_orders]
-    mismatched = [np.setdiff1d(all_cols, m, assume_unique=True) for m in matched]
-    groups = class_groups_from_labels(src_atlas.classes).class_groups
-    return OrderGroups(class_groups=groups, matched=matched, mismatched=mismatched)
+def same_order_mask(src_atlas: TemporalAtlas, tgt_atlas: TemporalAtlas) -> np.ndarray:
+    """(k_s, k_t) mask: target state j has the temporal order of source state i."""
+    return src_atlas.orders[:, None] == tgt_atlas.orders[None, :]
 
 
 def pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -144,48 +117,34 @@ def entropy(gamma: np.ndarray):
     return value, log_g
 
 
-def _group_norm(gamma: np.ndarray, row_groups) -> tuple[float, np.ndarray]:
-    value = 0.0
-    sub = np.zeros_like(gamma)
-    for rows in row_groups:
-        block = gamma[rows]
-        norms = np.sqrt((block**2).sum(axis=0))
-        value += norms.sum()
-        nz = norms > 0
-        sub[np.ix_(rows, np.nonzero(nz)[0])] = block[:, nz] / norms[nz]
-    return float(value), sub
-
-
-def group_sparse(gamma: np.ndarray, class_groups) -> tuple[float, np.ndarray]:
+def group_sparse(gamma: np.ndarray, classes: np.ndarray) -> tuple[float, np.ndarray]:
     """Per-target-column sum of L2 norms over source class groups.
 
-    Subgradient: block / ||block|| per (group, column); zero-norm groups get 0.
+    `classes` is the class label of each source row.  With M the (G, k_s)
+    one-hot class membership, the group norms are sqrt(M @ gamma**2).
+    Subgradient: gamma over its own group's norm; zero-norm groups get 0.
     """
-    return _group_norm(np.asarray(gamma, dtype=float), class_groups)
+    gamma = np.asarray(gamma, dtype=float)
+    members = (np.unique(classes)[:, None] == np.asarray(classes)).astype(float)
+    norms = np.sqrt(members @ gamma**2)  # (G, k_t)
+    denom = members.T @ norms  # each row's own group norm, per column
+    return float(norms.sum()), np.divide(gamma, denom, out=np.zeros_like(gamma), where=denom > 0)
 
 
 def temporal_reg(
-    gamma: np.ndarray, groups: OrderGroups, mode: str = "mismatched"
+    gamma: np.ndarray, same_order: np.ndarray, mode: str = "mismatched"
 ) -> tuple[float, np.ndarray]:
-    """Row-wise L2 norms over temporal-order column sets.
+    """Row-wise L2 norms of gamma masked by temporal order.
 
-    "matched" norms each row's same-order columns (the literal group
-    definition); "mismatched" norms the complement so order-violating mass
-    is what gets penalized.
+    `same_order` is the (k_s, k_t) mask of same-order pairs.  "matched"
+    norms each row's same-order entries (the literal group definition);
+    "mismatched" norms the complement so order-violating mass is what gets
+    penalized.  Subgradient: masked row over its norm; zero rows get 0.
     """
     gamma = np.asarray(gamma, dtype=float)
-    cols = groups.matched if mode == "matched" else groups.mismatched
-    if cols is None:
-        raise ValueError("order groups missing matched/mismatched column sets")
-    value = 0.0
-    sub = np.zeros_like(gamma)
-    for i, sel in enumerate(cols):
-        v = gamma[i, sel]
-        n = np.sqrt((v**2).sum())
-        value += n
-        if n > 0:
-            sub[i, sel] = v / n
-    return float(value), sub
+    masked = np.where(same_order if mode == "matched" else ~same_order, gamma, 0.0)
+    norms = np.sqrt((masked**2).sum(axis=1, keepdims=True))
+    return float(norms.sum()), np.divide(masked, norms, out=np.zeros_like(gamma), where=norms > 0)
 
 
 def _check_marginals(a: np.ndarray, b: np.ndarray):
@@ -274,7 +233,7 @@ def sinkhorn(
     violation = _violation(plan, a, b)
     if not np.all(np.isfinite(plan)):
         raise NumericalFailureError("numerical failure: non-finite transport plan")
-    return Coupling(plan, a, b, violation, it, violation <= tol)
+    return Coupling(plan, violation, it, violation <= tol)
 
 
 def _in_range(scaling: np.ndarray) -> bool:
@@ -300,15 +259,20 @@ def gcg_solve(
     b: np.ndarray,
     cost: np.ndarray,
     hyper: TrotHyperparams,
-    groups: OrderGroups | None = None,
+    classes: np.ndarray | None = None,
+    same_order: np.ndarray | None = None,
 ) -> tuple[Coupling, np.ndarray]:
     """Solve the fully regularized problem by conditional gradient.
+
+    `classes` (the source class label per row) is required when
+    `hyper.group_weight > 0`, and `same_order` (the (k_s, k_t) same-order
+    mask) when `hyper.order_weight > 0`.
 
     Each iteration linearizes the group penalties at the current plan, solves
     the entropic subproblem on the shifted cost, then backtracks (Armijo,
     sufficient decrease 1e-4, factor 0.5, up to 30 halvings) along the
     feasible segment.  Stops when the relative objective decrease drops
-    below `hyper.gcg_tol` or no descent direction remains.
+    below `GCG_TOL` or no descent direction remains.
 
     Returns the final coupling and the objective value per accepted iterate.
     The coupling is flagged `converged` only when every Sinkhorn direction
@@ -319,19 +283,19 @@ def gcg_solve(
     cost = np.asarray(cost, dtype=float)
     _check_marginals(a, b)
     eta, tau = hyper.group_weight, hyper.order_weight
-    if eta > 0 and (groups is None or groups.class_groups is None):
+    if eta > 0 and classes is None:
         raise ValueError("group_weight > 0 requires class groups")
-    if tau > 0 and (groups is None or groups.matched is None):
+    if tau > 0 and same_order is None:
         raise ValueError("order_weight > 0 requires order groups")
 
     def penalties(g):
         val, sub = 0.0, np.zeros_like(g)
         if eta > 0:
-            v, s = group_sparse(g, groups.class_groups)
+            v, s = group_sparse(g, classes)
             val += eta * v
             sub += eta * s
         if tau > 0:
-            v, s = temporal_reg(g, groups, hyper.order_mode)
+            v, s = temporal_reg(g, same_order, hyper.order_mode)
             val += tau * v
             sub += tau * s
         return val, sub
@@ -348,9 +312,7 @@ def gcg_solve(
 
     for _ in range(hyper.gcg_iters):
         _, pen_sub = penalties(gamma)
-        direction = sinkhorn(
-            a, b, cost + pen_sub, hyper.entropy_weight, hyper.sinkhorn_iters, hyper.sinkhorn_tol
-        )
+        direction = sinkhorn(a, b, cost + pen_sub, hyper.entropy_weight, hyper.sinkhorn_iters)
         worst_violation = max(worst_violation, direction.marginal_violation)
         converged = converged and direction.converged
         delta = direction.values - gamma
@@ -370,13 +332,13 @@ def gcg_solve(
         gamma = gamma + alpha * delta
         previous, obj = obj, candidate_obj
         trace.append(obj)
-        if previous - obj < hyper.gcg_tol * max(abs(previous), 1e-30):
+        if previous - obj < GCG_TOL * max(abs(previous), 1e-30):
             break
 
     # every iterate is a convex combination of feasible endpoints, so the
     # worst direction violation bounds the violation along the whole path
     worst_violation = max(worst_violation, _violation(gamma, a, b))
     return (
-        Coupling(gamma, a, b, worst_violation, len(trace) - 1, converged),
+        Coupling(gamma, worst_violation, len(trace) - 1, converged),
         np.asarray(trace),
     )

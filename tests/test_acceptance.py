@@ -19,7 +19,7 @@ from trot.ot_core import (
     entropy,
     gcg_solve,
     group_sparse,
-    order_groups,
+    same_order_mask,
     sinkhorn,
     temporal_reg,
 )
@@ -75,7 +75,8 @@ def test_criterion_2_ot_oracle_equivalence():
 def _random_grouped_problem(rng):
     src = make_atlas(rng.uniform(0, 0.5, (8, 2)), [0] * 4 + [1] * 4, [1, 2, 3, 4] * 2)
     tgt = make_atlas(rng.uniform(0, 0.5, (8, 2)), [0] * 4 + [1] * 4, [1, 2, 3, 4] * 2)
-    return cost_matrix(src, tgt), order_groups(src, tgt), src.weights, tgt.weights
+    groups = (src.classes, same_order_mask(src, tgt))
+    return cost_matrix(src, tgt), groups, src.weights, tgt.weights
 
 
 def test_criterion_3_gcg_correctness():
@@ -85,14 +86,14 @@ def test_criterion_3_gcg_correctness():
     for _ in range(5):
         cost, groups, a, b = _random_grouped_problem(rng)
         plain = sinkhorn(a, b, cost, 0.1)
-        coupling, _ = gcg_solve(a, b, cost, TrotHyperparams(entropy_weight=0.1), groups)
+        coupling, _ = gcg_solve(a, b, cost, TrotHyperparams(entropy_weight=0.1), *groups)
         max_diff = max(max_diff, float(np.abs(coupling.values - plain.values).max()))
     # full default (eta, tau) grid: monotone trace, feasible iterates
     worst_violation, trace_ok = 0.0, True
     cost, groups, a, b = _random_grouped_problem(rng)
     for eta, tau in product((0.0, 0.1, 1.0), (0.0, 0.1, 1.0, 10.0)):
         hyper = TrotHyperparams(entropy_weight=0.1, group_weight=eta, order_weight=tau)
-        coupling, trace = gcg_solve(a, b, cost, hyper, groups)
+        coupling, trace = gcg_solve(a, b, cost, hyper, *groups)
         trace_ok = trace_ok and bool(np.all(np.diff(trace) <= 1e-12))
         worst_violation = max(worst_violation, coupling.marginal_violation)
     report(
@@ -108,11 +109,11 @@ def test_criterion_4_regularizer_gradients():
     rng = np.random.default_rng(55)
     src = make_atlas(np.zeros((8, 2)), [0] * 4 + [1] * 4, [1, 2, 3, 4] * 2)
     tgt = make_atlas(np.ones((8, 2)), [0] * 4 + [1] * 4, [1, 2, 3, 4] * 2)
-    groups = order_groups(src, tgt)
+    same_order = same_order_mask(src, tgt)
     functions = {
-        "group_sparse": lambda g: group_sparse(g, groups.class_groups),
-        "temporal_matched": lambda g: temporal_reg(g, groups, "matched"),
-        "temporal_mismatched": lambda g: temporal_reg(g, groups, "mismatched"),
+        "group_sparse": lambda g: group_sparse(g, src.classes),
+        "temporal_matched": lambda g: temporal_reg(g, same_order, "matched"),
+        "temporal_mismatched": lambda g: temporal_reg(g, same_order, "mismatched"),
     }
     eps, worst_rel = 1e-6, 0.0
     for _ in range(20):
@@ -188,7 +189,7 @@ def _decoy_problem():
     return src, tgt
 
 
-def _decoy_oracle(cost, groups, lam, tau, steps=80):
+def _decoy_oracle(cost, same_order, lam, tau, steps=80):
     """Exhaustive grid over the 3-dof feasible polytope (rows 1/2, columns 1/4)."""
     g = np.linspace(0.0, 0.25, steps + 1)
     x0, x1, x2 = (m.ravel() for m in np.meshgrid(g, g, g, indexing="ij"))
@@ -204,8 +205,8 @@ def _decoy_oracle(cost, groups, lam, tau, steps=80):
             np.where(gamma > 0, gamma * np.log(np.where(gamma > 0, gamma, 1.0)), 0.0)
         ).sum(axis=(1, 2)) - gamma.sum(axis=(1, 2))
     t_term = np.zeros(len(gamma))
-    for i, cols in enumerate(groups.mismatched):
-        t_term += np.sqrt((gamma[:, i, cols] ** 2).sum(axis=1))
+    for i, row in enumerate(same_order):
+        t_term += np.sqrt((gamma[:, i, ~row] ** 2).sum(axis=1))
     objective = lin + lam * ent + tau * t_term
     best = int(objective.argmin())
     return float(objective[best]), gamma[best]
@@ -214,21 +215,23 @@ def _decoy_oracle(cost, groups, lam, tau, steps=80):
 def test_criterion_6_temporal_order_effect():
     src, tgt = _decoy_problem()
     cost = cost_matrix(src, tgt)
-    groups = order_groups(src, tgt)
+    same_order = same_order_mask(src, tgt)
     lam = 0.25
 
     def matched_fraction(values):
         return min(
-            float(values[i, cols].sum() / values[i].sum())
-            for i, cols in enumerate(groups.matched)
+            float(values[i, row].sum() / values[i].sum())
+            for i, row in enumerate(same_order)
         )
 
     results, oracle_results, oracle_ok = {}, {}, True
     for tau in (0.0, 10.0):
         hyper = TrotHyperparams(entropy_weight=lam, order_weight=tau)
-        coupling, trace = gcg_solve(src.weights, tgt.weights, cost, hyper, groups)
+        coupling, trace = gcg_solve(
+            src.weights, tgt.weights, cost, hyper, src.classes, same_order
+        )
         results[tau] = matched_fraction(coupling.values)
-        oracle_obj, oracle_gamma = _decoy_oracle(cost, groups, lam, tau)
+        oracle_obj, oracle_gamma = _decoy_oracle(cost, same_order, lam, tau)
         oracle_results[tau] = matched_fraction(oracle_gamma)
         # solver and exhaustive optimum agree up to grid resolution
         oracle_ok = (

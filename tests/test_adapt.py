@@ -9,11 +9,8 @@ from trot.ot_core import Coupling
 from .conftest import make_atlas, make_dataset
 
 
-def coupling(values, a=None, b=None):
-    values = np.asarray(values, dtype=float)
-    a = values.sum(axis=1) if a is None else a
-    b = values.sum(axis=0) if b is None else b
-    return Coupling(values, a, b)
+def coupling(values):
+    return Coupling(np.asarray(values, dtype=float))
 
 
 class TestBarycentricMap:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from trot.errors import DimensionMismatchError, InsufficientDataError, InvalidSampleError
+from trot import harness
+from trot.errors import DimensionMismatchError, InsufficientDataError, InvalidSampleError, TrotError
 from trot.harness import (
     TaskSpec,
     default_grid,
@@ -187,6 +188,18 @@ class TestRunMatrix:
         report = run_matrix(self._three_users(), methods=["na", "td"], seed=1)
         text = render_table(report)
         assert "na" in text and "td" in text and "u0->u1" in text
+
+    @pytest.mark.parametrize(
+        "methods, message",
+        [([], "no methods given; choose from na, td"), (["na", "magic"], "unknown methods: magic")],
+    )
+    def test_rejects_bad_method_list_before_any_task(self, monkeypatch, methods, message):
+        # an empty list once gave a report with no tasks, which render_table could not print
+        ran = []
+        monkeypatch.setattr(harness, "run_task", lambda *args: ran.append(args))
+        with pytest.raises(TrotError, match=message):
+            run_matrix(self._three_users(), methods=methods)
+        assert ran == []
 
 
 class TestDefaultGrids:

@@ -9,15 +9,13 @@ from trot import ot_core
 from trot.errors import NumericalFailureError
 from trot.ot_core import (
     Coupling,
-    OrderGroups,
     TrotHyperparams,
-    class_groups_from_labels,
     cost_matrix,
     entropy,
     gcg_solve,
     group_sparse,
-    order_groups,
     pairwise_sq_dists,
+    same_order_mask,
     sinkhorn,
     temporal_reg,
     _violation,
@@ -72,17 +70,17 @@ class TestEntropy:
 class TestGroupSparse:
     def test_singleton_groups_reduce_to_l1(self):
         gamma = np.array([[0.5, 0.0], [0.0, 0.5]])
-        value, _ = group_sparse(gamma, [np.array([0]), np.array([1])])
+        value, _ = group_sparse(gamma, np.array([0, 1]))
         assert value == pytest.approx(1.0)
 
     def test_zero_coupling(self):
-        value, sub = group_sparse(np.zeros((2, 2)), [np.array([0, 1])])
+        value, sub = group_sparse(np.zeros((2, 2)), np.array([0, 0]))
         assert value == 0.0
         assert np.all(sub == 0.0)
 
     def test_three_four_five(self):
         gamma = np.array([[0.3], [0.4]])
-        value, sub = group_sparse(gamma, [np.array([0, 1])])
+        value, sub = group_sparse(gamma, np.array([0, 0]))
         assert value == pytest.approx(0.5)
         assert sub[:, 0] == pytest.approx([0.6, 0.8])
 
@@ -92,7 +90,7 @@ class TestTemporalReg:
         # single class, orders 1,2 on both sides
         src = make_atlas([[0, 0], [0, 1]], [0, 0], [1, 2])
         tgt = make_atlas([[1, 0], [1, 1]], [0, 0], [1, 2])
-        return order_groups(src, tgt)
+        return same_order_mask(src, tgt)
 
     def test_no_order_violating_mass(self):
         gamma = np.array([[0.5, 0.0], [0.0, 0.5]])
@@ -112,10 +110,76 @@ class TestTemporalReg:
     def test_matched_sets_one_column_per_target_class(self):
         src = make_atlas(np.zeros((4, 2)), [0, 0, 1, 1], [1, 2, 1, 2])
         tgt = make_atlas(np.ones((4, 2)), [0, 0, 1, 1], [1, 2, 1, 2])
-        og = order_groups(src, tgt)
-        for i, cols in enumerate(og.matched):
-            assert len(cols) == 2  # one per target class
-            assert sorted(np.concatenate([cols, og.mismatched[i]])) == [0, 1, 2, 3]
+        same_order = same_order_mask(src, tgt)
+        assert same_order.shape == (4, 4) and same_order.dtype == bool
+        for row in same_order:
+            assert sorted(tgt.classes[row]) == [0, 1]  # one per target class
+
+
+def reference_group_sparse(gamma, class_groups):
+    """Omega on index lists, one `np.ix_` block per class group: the
+    reference that `group_sparse` is compared against."""
+    value = 0.0
+    sub = np.zeros_like(gamma)
+    for rows in class_groups:
+        block = gamma[rows]
+        norms = np.sqrt((block**2).sum(axis=0))
+        value += norms.sum()
+        nz = norms > 0
+        sub[np.ix_(rows, np.nonzero(nz)[0])] = block[:, nz] / norms[nz]
+    return float(value), sub
+
+
+def reference_temporal_reg(gamma, cols):
+    """T on index lists, `cols[i]` holding row i's penalized columns: the
+    reference that `temporal_reg` is compared against."""
+    value = 0.0
+    sub = np.zeros_like(gamma)
+    for i, sel in enumerate(cols):
+        v = gamma[i, sel]
+        n = np.sqrt((v**2).sum())
+        value += n
+        if n > 0:
+            sub[i, sel] = v / n
+    return float(value), sub
+
+
+def reference_index_lists(classes, src_orders, tgt_orders):
+    """Source class groups and per-row matched / mismatched target columns."""
+    class_groups = [np.nonzero(classes == c)[0] for c in np.unique(classes)]
+    matched = [np.nonzero(tgt_orders == k)[0] for k in src_orders]
+    all_cols = np.arange(len(tgt_orders))
+    mismatched = [np.setdiff1d(all_cols, m, assume_unique=True) for m in matched]
+    return class_groups, {"matched": matched, "mismatched": mismatched}
+
+
+class TestPenaltiesMatchIndexLists:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+        n_classes=st.integers(1, 5),
+        n_orders=st.integers(1, 5),
+        sparsity=st.sampled_from([0.0, 0.5, 0.9, 0.99, 1.0]),
+        mode=st.sampled_from(["matched", "mismatched"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_grouped_problems(self, shape, n_classes, n_orders, sparsity, mode, seed):
+        # a sparse plan leaves whole class groups and masked rows at zero norm;
+        # the plan's scale (1e-8 to 1) is log-uniform from the seed
+        rng = np.random.default_rng(seed)
+        classes = rng.integers(0, n_classes, shape[0])
+        src_orders = rng.integers(1, n_orders + 1, shape[0])
+        tgt_orders = rng.integers(1, n_orders + 1, shape[1])
+        scale = 10 ** rng.uniform(-8, 0)
+        gamma = scale * rng.uniform(size=shape) * (rng.uniform(size=shape) >= sparsity)
+        class_groups, cols = reference_index_lists(classes, src_orders, tgt_orders)
+        same_order = src_orders[:, None] == tgt_orders[None, :]
+        for got, want in (
+            (group_sparse(gamma, classes), reference_group_sparse(gamma, class_groups)),
+            (temporal_reg(gamma, same_order, mode), reference_temporal_reg(gamma, cols[mode])),
+        ):
+            assert abs(got[0] - want[0]) <= 1e-12
+            assert np.abs(got[1] - want[1]).max() <= 1e-12
 
 
 def reference_sinkhorn(a, b, cost, entropy_weight, max_iters=10_000, tol=1e-9):
@@ -139,7 +203,7 @@ def reference_sinkhorn(a, b, cost, entropy_weight, max_iters=10_000, tol=1e-9):
                 break
     plan = np.exp(log_k + u[:, None] + v[None, :])
     violation = _violation(plan, a, b)
-    return Coupling(plan, a, b, violation, it, violation <= tol)
+    return Coupling(plan, violation, it, violation <= tol)
 
 
 def _reference_logsumexp(m, axis):
@@ -269,35 +333,35 @@ class TestSubgradients:
         return grad
 
     def test_group_sparse_gradient(self, rng):
-        groups = [np.array([0, 1]), np.array([2])]
+        classes = np.array([0, 0, 1])
         gamma = rng.uniform(0.1, 1.0, (3, 4))
-        _, sub = group_sparse(gamma, groups)
-        fd = self.finite_difference(lambda g: group_sparse(g, groups)[0], gamma)
+        _, sub = group_sparse(gamma, classes)
+        fd = self.finite_difference(lambda g: group_sparse(g, classes)[0], gamma)
         assert np.abs(sub - fd).max() / np.abs(fd).max() < 1e-5
 
     def test_temporal_reg_gradient(self, rng):
         src = make_atlas(np.zeros((4, 2)), [0, 0, 1, 1], [1, 2, 1, 2])
         tgt = make_atlas(np.ones((4, 2)), [0, 0, 1, 1], [1, 2, 1, 2])
-        og = order_groups(src, tgt)
+        same_order = same_order_mask(src, tgt)
         gamma = rng.uniform(0.1, 1.0, (4, 4))
         for mode in ("matched", "mismatched"):
-            _, sub = temporal_reg(gamma, og, mode)
-            fd = self.finite_difference(lambda g: temporal_reg(g, og, mode)[0], gamma)
+            _, sub = temporal_reg(gamma, same_order, mode)
+            fd = self.finite_difference(lambda g: temporal_reg(g, same_order, mode)[0], gamma)
             assert np.abs(sub - fd).max() / np.abs(fd).max() < 1e-5
 
     def test_convexity(self, rng):
-        groups = [np.array([0, 1]), np.array([2, 3])]
+        classes = np.array([0, 0, 1, 1])
         src = make_atlas(np.zeros((4, 2)), [0, 0, 1, 1], [1, 2, 1, 2])
         tgt = make_atlas(np.ones((4, 2)), [0, 0, 1, 1], [1, 2, 1, 2])
-        og = order_groups(src, tgt)
+        same_order = same_order_mask(src, tgt)
         for _ in range(50):
             g1 = rng.uniform(0, 1, (4, 4))
             g2 = rng.uniform(0, 1, (4, 4))
             t = rng.uniform()
             mix = t * g1 + (1 - t) * g2
             for fn in (
-                lambda g: group_sparse(g, groups)[0],
-                lambda g: temporal_reg(g, og, "mismatched")[0],
+                lambda g: group_sparse(g, classes)[0],
+                lambda g: temporal_reg(g, same_order, "mismatched")[0],
             ):
                 assert fn(mix) <= t * fn(g1) + (1 - t) * fn(g2) + 1e-12
 
@@ -315,10 +379,11 @@ class TestGcg:
         # Sinkhorn's fast linear-convergence regime
         src = make_atlas(rng.uniform(0, 0.5, (4, 2)), [0, 0, 1, 1], [1, 2, 1, 2])
         tgt = make_atlas(rng.uniform(0, 0.5, (4, 2)), [0, 0, 1, 1], [1, 2, 1, 2])
-        og = order_groups(src, tgt)
         a = b = np.full(4, 0.25)
         hyper = TrotHyperparams(entropy_weight=0.1, group_weight=0.5, order_weight=0.5)
-        coup, trace = gcg_solve(a, b, cost_matrix(src, tgt), hyper, og)
+        coup, trace = gcg_solve(
+            a, b, cost_matrix(src, tgt), hyper, src.classes, same_order_mask(src, tgt)
+        )
         assert np.all(np.diff(trace) <= 1e-12)
         assert coup.marginal_violation <= 1e-6
 
@@ -334,7 +399,8 @@ class TestGcg:
         tgt = make_atlas(rng.uniform(0, 0.5, (8, 2)), [0] * 4 + [1] * 4, [1, 2, 3, 4] * 2)
         hyper = TrotHyperparams(entropy_weight=0.1, group_weight=0.1, order_weight=1.0)
         coup, trace = gcg_solve(
-            src.weights, tgt.weights, cost_matrix(src, tgt), hyper, order_groups(src, tgt)
+            src.weights, tgt.weights, cost_matrix(src, tgt), hyper,
+            src.classes, same_order_mask(src, tgt),
         )
         assert len(trace) > 1
         assert coup.converged
@@ -353,18 +419,21 @@ class TestGcg:
         tgt = make_atlas(
             [[3, 0.9], [3, 1.1], [0.5, 2.0], [0.5, 0.0]], [1, 1, 2, 2], [1, 2, 1, 2]
         )
-        og = order_groups(src, tgt)
+        same_order = same_order_mask(src, tgt)
         cost = cost_matrix(src, tgt)
         a, b = src.weights, tgt.weights
 
         def matched_mass(values):
             return min(
-                values[i, cols].sum() / values[i].sum() for i, cols in enumerate(og.matched)
+                values[i, row].sum() / values[i].sum() for i, row in enumerate(same_order)
             )
 
-        free, _ = gcg_solve(a, b, cost, TrotHyperparams(entropy_weight=0.25), og)
+        free, _ = gcg_solve(
+            a, b, cost, TrotHyperparams(entropy_weight=0.25), src.classes, same_order
+        )
         pinned, _ = gcg_solve(
-            a, b, cost, TrotHyperparams(entropy_weight=0.25, order_weight=10.0), og
+            a, b, cost, TrotHyperparams(entropy_weight=0.25, order_weight=10.0),
+            src.classes, same_order,
         )
         assert matched_mass(free.values) < 0.5
         assert matched_mass(pinned.values) >= 0.9
@@ -378,10 +447,6 @@ class TestHyperparams:
     def test_order_mode_validated(self):
         with pytest.raises(ValueError):
             TrotHyperparams(order_mode="sideways")
-
-    def test_class_groups_partition(self):
-        og = class_groups_from_labels(np.array([1, 0, 1, 2]))
-        assert [g.tolist() for g in og.class_groups] == [[1], [0, 2], [3]]
 
 
 def test_pairwise_sq_dists_matches_direct(rng):

@@ -12,7 +12,10 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from trot.ot_core import TrotHyperparams, gcg_solve
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -55,3 +58,17 @@ def test_observed_arguments_keep_their_positions(module, name, positions):
     if module == "hmm":
         # the tracer digests an omitted mode as "deterministic"
         assert params[2].default == "deterministic"
+
+
+def test_gcg_observer_reads_the_solver_result(tracer):
+    args = (
+        np.full(2, 0.5),
+        np.full(2, 0.5),
+        np.array([[0.0, 1.0], [1.0, 0.0]]),
+        TrotHyperparams(group_weight=0.1, order_weight=0.1),
+        np.array([0, 1]),  # source classes
+        np.eye(2, dtype=bool),  # same-order mask
+    )
+    result = gcg_solve(*args)
+    assert result[0].iterations >= 1
+    assert tracer._observe_gcg(args, {}, result) == {"iters": result[0].iterations}
