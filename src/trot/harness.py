@@ -4,10 +4,13 @@ For every task the max-abs scaler is fit on the source user and applied to
 both users, the target stream is split into a first-half validation set and
 a second-half test set, hyperparameters are selected by validation accuracy
 only, and the test half is touched exactly once with the selected setting.
+Each task prepares once what its grid points share (ot/otda's subsamples and
+cost, trot's pseudo labels; trot's atlases once per `n_states`); see `_solver`.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from collections import Counter
@@ -58,6 +61,9 @@ class TaskSpec:
             raise ValueError("source and target user must differ (except for td)")
         if self.hyper_grid is not None:
             object.__setattr__(self, "hyper_grid", tuple(self.hyper_grid))
+        for name in {"ot": ("group_weight", "order_weight"), "otda": ("order_weight",)}.get(method, ()):
+            if any(getattr(hyper, name, 0.0) > 0 for hyper in self.hyper_grid or ()):
+                raise ValueError(f"{method} does not take {name} > 0")
 
 
 @dataclass
@@ -149,49 +155,53 @@ def _subsample(dataset: FeatureDataset, rng: np.random.Generator) -> FeatureData
     return dataset.subset(keep)
 
 
-def _fit_method(
-    method: str,
-    hyper: TrotHyperparams | None,
-    source: FeatureDataset,
-    validation: FeatureDataset,
-    seed: int,
-    cache: dict,
-):
-    """Produce the training set a 1-NN classifier will use, plus any trace."""
-    if method == "na":
-        return source, None
-    if method == "td":
-        return validation, None
+def _solver(method: str, source: FeatureDataset, validation: FeatureDataset, seed: int):
+    """One task's `hyper -> (1-NN training set, objective trace)`.
+
+    ot/otda prepare their subsamples, cost and marginals here, once per task.
+    trot prepares its pseudo labels once per task and its atlases, cost, mask
+    and source state assignment once per `n_states`, on first use; one that
+    raises is not cached, so every grid point that needs it fails alike.
+    """
+    if method in ("na", "td"):
+        return lambda hyper: (source if method == "na" else validation, None)
     if method == "coral":
-        return coral_align(source, validation), None
+        return lambda hyper: (coral_align(source, validation), None)
     if method in ("ot", "otda"):
         rng = np.random.default_rng(seed)
-        src_sub = _subsample(source, rng)
-        tgt_sub = _subsample(validation, rng)
+        src_sub, tgt_sub = _subsample(source, rng), _subsample(validation, rng)
         cost = pairwise_sq_dists(src_sub.features, tgt_sub.features)
         a = np.full(len(src_sub), 1.0 / len(src_sub))
         b = np.full(len(tgt_sub), 1.0 / len(tgt_sub))
-        if method == "ot":
-            coupling = sinkhorn(a, b, cost, hyper.entropy_weight, hyper.sinkhorn_iters)
-            trace = None
-        else:
-            coupling, trace = gcg_solve(a, b, cost, hyper, src_sub.labels)
-        transported = barycentric_project(coupling.values, tgt_sub.features)
-        return replace(src_sub, features=transported), trace
-    if method == "trot":
-        src_atlas = build_atlas(source, hyper.n_states)
-        if "pseudo_labels" not in cache:
-            cache["pseudo_labels"] = knn1_classify(source, validation)
-        tgt_atlas = build_atlas(validation.with_labels(cache["pseudo_labels"]), hyper.n_states)
-        cost = cost_matrix(src_atlas, tgt_atlas)
+
+        def solve_ot(hyper):
+            if method == "ot":
+                coupling, trace = sinkhorn(a, b, cost, hyper.entropy_weight, hyper.sinkhorn_iters), None
+            else:
+                coupling, trace = gcg_solve(a, b, cost, hyper, src_sub.labels)
+            transported = barycentric_project(coupling.values, tgt_sub.features)
+            return replace(src_sub, features=transported), trace
+
+        return solve_ot
+
+    pseudo_labels = functools.cache(lambda: knn1_classify(source, validation))
+
+    @functools.cache
+    def atlases(n_states):
+        src_atlas = build_atlas(source, n_states)
+        tgt_atlas = build_atlas(validation.with_labels(pseudo_labels()), n_states)
+        cost, same_order = cost_matrix(src_atlas, tgt_atlas), same_order_mask(src_atlas, tgt_atlas)
+        return src_atlas, tgt_atlas, cost, same_order, assign_dataset_states(source, n_states)
+
+    def solve_trot(hyper):
+        src_atlas, tgt_atlas, cost, same_order, assignment = atlases(hyper.n_states)
         coupling, trace = gcg_solve(
-            src_atlas.weights, tgt_atlas.weights, cost, hyper,
-            src_atlas.classes, same_order_mask(src_atlas, tgt_atlas),
+            src_atlas.weights, tgt_atlas.weights, cost, hyper, src_atlas.classes, same_order
         )
         mapped = barycentric_map(coupling, src_atlas, tgt_atlas)
-        assignment = assign_dataset_states(source, hyper.n_states)
         return transform_samples(source, assignment, mapped), trace
-    raise ValueError(f"unknown method {method!r}")
+
+    return solve_trot
 
 
 def run_task(
@@ -213,12 +223,12 @@ def run_task(
                            timing=time.perf_counter() - start)
 
     grid = spec.hyper_grid if spec.hyper_grid is not None else default_grid(spec.method)
-    cache: dict = {}
+    solve = _solver(spec.method, source, validation, spec.seed)
     best = None
     failures = []
     for hyper in grid:
         try:
-            train, trace = _fit_method(spec.method, hyper, source, validation, spec.seed, cache)
+            train, trace = solve(hyper)
             val_acc = _accuracy(knn1_classify(train, validation), validation.labels)
         except TrotError as exc:
             failures.append(str(exc))
@@ -234,7 +244,7 @@ def run_task(
 
     val_acc, hyper, train, trace = best
     predicted = knn1_classify(train, test)
-    report = AdaptReport(
+    return AdaptReport(
         task=spec,
         chosen_hyper=hyper,
         validation_accuracy=val_acc,
@@ -247,7 +257,6 @@ def run_task(
             "predicted": [int(v) for v in predicted],
         },
     )
-    return report
 
 
 def _join_failures(messages: list[str]) -> str:
@@ -276,44 +285,35 @@ def run_matrix(
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise TrotError(f"unknown methods: {', '.join(unknown)}")
-    skipped = []
     if isinstance(data, (str, Path)):
         directory = Path(data)
         if users is None:
             users = sorted(p.stem for p in directory.glob("*.csv"))
-        datasets = {}
-        for user in users:
-            path = directory / f"{user}.csv"
-            if path.exists():
-                datasets[user] = load_features(path, user)
-            else:
-                skipped.append(user)
+        paths = {user: directory / f"{user}.csv" for user in users}
+        datasets = {user: load_features(path, user) for user, path in paths.items() if path.exists()}
     else:
         datasets = dict(data)
-        if users is None:
-            users = sorted(datasets)
-        else:
-            skipped = [u for u in users if u not in datasets]
+    if users is None:
+        users = sorted(datasets)
+    skipped = [u for u in users if u not in datasets]
     users = sorted(u for u in users if u in datasets)
     if len(users) < 2:
         raise InsufficientDataError("insufficient data: need at least 2 users")
 
+    # every spec is built first, so a grid a method cannot take fails before any task runs
+    specs = [
+        TaskSpec(src, tgt, method, None if grids is None else grids.get(method), seed)
+        for method in methods for src in users for tgt in users if src != tgt
+    ]
     tasks = []
-    table: dict[str, dict[str, float | None]] = {}
-    for method in methods:
-        table[method] = {}
-        for src in users:
-            for tgt in users:
-                if src == tgt:
-                    continue
-                grid = None if grids is None else grids.get(method)
-                spec = TaskSpec(src, tgt, method, grid, seed)
-                try:
-                    report = run_task(spec, datasets[src], datasets[tgt])
-                except TrotError as exc:
-                    report = AdaptReport(spec, error=str(exc))
-                tasks.append(report.to_dict())
-                table[method][f"{src}->{tgt}"] = report.test_accuracy
+    table: dict[str, dict[str, float | None]] = {method: {} for method in methods}
+    for spec in specs:
+        try:
+            report = run_task(spec, datasets[spec.source_user], datasets[spec.target_user])
+        except TrotError as exc:
+            report = AdaptReport(spec, error=str(exc))
+        tasks.append(report.to_dict())
+        table[spec.method][f"{spec.source_user}->{spec.target_user}"] = report.test_accuracy
     return {
         "users": users,
         "methods": methods,

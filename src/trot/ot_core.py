@@ -64,6 +64,8 @@ class TrotHyperparams:
             raise ValueError("regularizer weights must be >= 0")
         if self.order_mode not in ("matched", "mismatched"):
             raise ValueError(f"unknown order_mode {self.order_mode!r}")
+        if self.n_states < 1:
+            raise ValueError("n_states must be >= 1")
 
     def to_dict(self) -> dict:
         return {

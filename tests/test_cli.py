@@ -101,6 +101,26 @@ def test_error_exit_emits_json(tmp_path, capsys):
     assert set(payload) == {"error", "message"}
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--method", "ot", "--eta", "1"], "ot does not take group_weight > 0"),  # once ran plain OT
+        (["--method", "otda", "--tau", "1"], "otda does not take order_weight > 0"),  # once died in GCG
+        (["--states", "0", "--lambda", "0.1"], "n_states must be >= 1"),  # once an IndexError
+    ],
+)
+def test_adapt_rejects_unusable_setting(tmp_path, capsys, flags, message):
+    data = tmp_path / "synth"
+    assert main(["synth", "--classes", "2", "--states", "2", "--windows", "12", "--dim", "2",
+                 "--out", str(data)]) == 0
+    report = tmp_path / "report.json"
+    assert main(["adapt", "--source", str(data / "user0.csv"), "--target", str(data / "user1.csv"),
+                 *flags, "--report", str(report)]) == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"error": "ValueError", "message": message}
+    assert not report.exists()
+
+
 def test_matrix_rejects_unknown_method(tmp_path, capsys):
     assert main(["matrix", "--data", str(tmp_path), "--methods", "magic",
                  "--out", str(tmp_path / "m.json")]) == 1

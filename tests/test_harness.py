@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from trot import harness
+from trot.adapt import barycentric_map, barycentric_project, coral_align, transform_samples
 from trot.errors import DimensionMismatchError, InsufficientDataError, InvalidSampleError, TrotError
 from trot.harness import (
     TaskSpec,
@@ -13,7 +16,15 @@ from trot.harness import (
     run_task,
     temporal_split,
 )
-from trot.ot_core import TrotHyperparams
+from trot.hmm import assign_dataset_states, build_atlas
+from trot.ot_core import (
+    TrotHyperparams,
+    cost_matrix,
+    gcg_solve,
+    pairwise_sq_dists,
+    same_order_mask,
+    sinkhorn,
+)
 from trot.synth import SynthSpec, adversarial_user_shift, generate_pair, generate_user
 
 from .conftest import make_dataset
@@ -34,6 +45,51 @@ def tiny_pair(seed=5):
     spec.user_shift = adversarial_user_shift(spec)
     source, target, _ = generate_pair(spec)
     return source, target
+
+
+def reference_fit_method(method, hyper, source, validation, seed):
+    """One grid point computed from scratch, with nothing shared between points."""
+    if method == "na":
+        return source, None
+    if method == "td":
+        return validation, None
+    if method == "coral":
+        return coral_align(source, validation), None
+    if method in ("ot", "otda"):
+        rng = np.random.default_rng(seed)
+        src_sub = harness._subsample(source, rng)
+        tgt_sub = harness._subsample(validation, rng)
+        cost = pairwise_sq_dists(src_sub.features, tgt_sub.features)
+        a = np.full(len(src_sub), 1.0 / len(src_sub))
+        b = np.full(len(tgt_sub), 1.0 / len(tgt_sub))
+        if method == "ot":
+            coupling = sinkhorn(a, b, cost, hyper.entropy_weight, hyper.sinkhorn_iters)
+            trace = None
+        else:
+            coupling, trace = gcg_solve(a, b, cost, hyper, src_sub.labels)
+        transported = barycentric_project(coupling.values, tgt_sub.features)
+        return replace(src_sub, features=transported), trace
+    src_atlas = build_atlas(source, hyper.n_states)
+    pseudo_labels = knn1_classify(source, validation)
+    tgt_atlas = build_atlas(validation.with_labels(pseudo_labels), hyper.n_states)
+    cost = cost_matrix(src_atlas, tgt_atlas)
+    coupling, trace = gcg_solve(
+        src_atlas.weights, tgt_atlas.weights, cost, hyper,
+        src_atlas.classes, same_order_mask(src_atlas, tgt_atlas),
+    )
+    mapped = barycentric_map(coupling, src_atlas, tgt_atlas)
+    assignment = assign_dataset_states(source, hyper.n_states)
+    return transform_samples(source, assignment, mapped), trace
+
+
+def mixed_grid(method, points):
+    """(n_states, lambda, eta, tau) points, without the weights `method` does not take."""
+    takes_eta, takes_tau = method in ("otda", "trot"), method == "trot"
+    return tuple(
+        TrotHyperparams(entropy_weight=lam, group_weight=eta * takes_eta,
+                        order_weight=tau * takes_tau, n_states=n)
+        for n, lam, eta, tau in points
+    )
 
 
 class TestKnn:
@@ -107,12 +163,12 @@ class TestRunTask:
         assert report.error is not None
         assert "insufficient class data" in report.error
 
-    def test_repeated_grid_failures_reported_once_with_count(self):
+    @pytest.mark.parametrize("states", [(50, 50, 60), (50, 60, 50)])
+    def test_repeated_grid_failures_reported_once_with_count(self, states):
+        # (50, 60, 50): a failed preparation is not cached, so both 50s fail alike
         source, target = tiny_pair()
-        grid = (
-            TrotHyperparams(entropy_weight=0.1, n_states=50),
-            TrotHyperparams(entropy_weight=0.01, n_states=50),
-            TrotHyperparams(entropy_weight=0.1, n_states=60),
+        grid = tuple(
+            TrotHyperparams(entropy_weight=lam, n_states=n) for lam, n in zip((0.1, 0.01, 0.1), states)
         )
         report = run_task(TaskSpec("s", "t", "trot", grid), source, target)
         first, second = report.error.split("; ")
@@ -128,6 +184,52 @@ class TestRunTask:
             run_task(TaskSpec("s", "t", "na"), source, target)
         matrix = run_matrix({"s": source, "t": target}, methods=["na", "coral", "td"])
         assert all(task["status"] == "failed" for task in matrix["tasks"])
+
+    @pytest.mark.parametrize(
+        "method, points",
+        [
+            (method, ((2, 1.0, 0.0, 0.0), (4, 1.0, 0.0, 10.0), (50, 1.0, 0.0, 0.0),
+                      (2, 1.0, 0.1, 1.0), (4, 1.0, 0.1, 1.0)))
+            for method in ("ot", "otda", "trot")
+        ] + [("trot", ((50, 1.0, 0.0, 0.0), (60, 1.0, 0.0, 0.0), (50, 1.0, 0.0, 10.0)))],
+    )
+    def test_report_matches_per_point_reference(self, monkeypatch, method, points):
+        source, target = tiny_pair()
+        spec = TaskSpec("s", "t", method, mixed_grid(method, points), seed=4)
+        prepared = run_task(spec, source, target).to_dict()
+        monkeypatch.setattr(
+            harness, "_solver",
+            lambda method, source, validation, seed:
+                lambda hyper: reference_fit_method(method, hyper, source, validation, seed),
+        )
+        assert prepared == run_task(spec, source, target).to_dict()
+
+    def test_preparation_runs_once_per_task_or_n_states(self, monkeypatch):
+        source, target = tiny_pair()
+        counts = dict.fromkeys(("build_atlas", "assign_dataset_states", "_subsample"), 0)
+        for name in counts:
+            def spy(*args, _name=name, _fn=getattr(harness, name)):
+                counts[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(harness, name, spy)
+        points = [(2, 1.0, 0.0, 0.0), (4, 1.0, 0.0, 0.0), (2, 1.0, 0.1, 1.0), (4, 1.0, 0.0, 10.0)]
+        run_task(TaskSpec("s", "t", "trot", mixed_grid("trot", points)), source, target)
+        assert counts == {"build_atlas": 4, "assign_dataset_states": 2, "_subsample": 0}
+        counts.update(build_atlas=0, assign_dataset_states=0)
+        points = [(4, 1.0, eta, 0.0) for eta in (0.0, 0.1, 1.0)]
+        run_task(TaskSpec("s", "t", "otda", mixed_grid("otda", points)), source, target)
+        assert counts == {"build_atlas": 0, "assign_dataset_states": 0, "_subsample": 2}
+
+    @pytest.mark.parametrize(
+        "method, weights, name",
+        [("ot", {"group_weight": 1.0}, "group_weight"), ("ot", {"order_weight": 0.1}, "order_weight"),
+         ("otda", {"order_weight": 1.0}, "order_weight")],
+    )
+    def test_spec_rejects_weights_the_method_ignores(self, method, weights, name):
+        # ot once ran plain OT and reported the weight; otda died inside gcg_solve
+        grid = (TrotHyperparams(), TrotHyperparams(**weights))
+        with pytest.raises(ValueError, match=f"{method} does not take {name} > 0"):
+            TaskSpec("s", "t", method, grid)
 
     def test_predictions_cover_test_half_only(self):
         source, target = tiny_pair()
@@ -199,6 +301,17 @@ class TestRunMatrix:
         monkeypatch.setattr(harness, "run_task", lambda *args: ran.append(args))
         with pytest.raises(TrotError, match=message):
             run_matrix(self._three_users(), methods=methods)
+        assert ran == []
+
+    def test_rejects_bad_grid_before_any_task(self, monkeypatch):
+        # otda at a nonzero order weight once raised ValueError mid-matrix
+        ran = []
+        monkeypatch.setattr(harness, "run_task", lambda *args: ran.append(args))
+        with pytest.raises(ValueError, match="otda does not take order_weight"):
+            run_matrix(
+                self._three_users(), methods=["na", "otda"],
+                grids={"otda": (TrotHyperparams(order_weight=1.0),)},
+            )
         assert ran == []
 
 

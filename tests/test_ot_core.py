@@ -448,6 +448,12 @@ class TestHyperparams:
         with pytest.raises(ValueError):
             TrotHyperparams(order_mode="sideways")
 
+    @pytest.mark.parametrize("n_states", [0, -1])
+    def test_n_states_positive(self, n_states):
+        # 0 once died in pairwise_sq_dists, -1 in numpy's array constructor
+        with pytest.raises(ValueError, match="n_states must be >= 1"):
+            TrotHyperparams(n_states=n_states)
+
 
 def test_pairwise_sq_dists_matches_direct(rng):
     x, y = rng.normal(0, 1, (6, 3)), rng.normal(0, 1, (4, 3))

@@ -10,12 +10,16 @@ import importlib
 import importlib.util
 import inspect
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from trot import harness
 from trot.ot_core import TrotHyperparams, gcg_solve
+
+from .test_harness import tiny_pair
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -72,3 +76,20 @@ def test_gcg_observer_reads_the_solver_result(tracer):
     result = gcg_solve(*args)
     assert result[0].iterations >= 1
     assert tracer._observe_gcg(args, {}, result) == {"iters": result[0].iterations}
+
+
+def test_traced_run_task_prepares_atlases_once_per_n_states(tracer):
+    source, target = tiny_pair()
+    grid = tuple(TrotHyperparams(entropy_weight=1.0, order_weight=tau, n_states=2) for tau in (0.0, 1.0))
+    trace = tracer.Tracer("test")
+    trace.install()
+    try:
+        harness.run_task(harness.TaskSpec("s", "t", "trot", grid), source, target)
+    finally:
+        trace.remove()
+    (task,) = [span for span in trace.spans if span.name == "harness.run_task"]
+    watched = ("hmm.build_atlas", "hmm.assign_dataset_states", "ot_core.gcg_solve")
+    spans = [span for span in trace.spans if span.name in watched]
+    # both atlases and the source assignment once for the shared n_states, one solve per point
+    assert Counter(span.name for span in spans) == dict(zip(watched, (2, 1, 2)))
+    assert {span.parent for span in spans} == {task.id}
