@@ -16,7 +16,6 @@ from .harness import (
 )
 from .hmm import (
     ActivityHMM,
-    GaussianState,
     TemporalAtlas,
     assign_dataset_states,
     assign_states,

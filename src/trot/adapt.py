@@ -22,13 +22,15 @@ from .preprocess import FeatureDataset
 class MappedAtlas:
     """Transported source state centers and their per-state displacements.
 
-    `keys[i]` is the (class, order) tag of source state i, so samples can be
-    shifted by the displacement of the state they belong to.
+    Row i is source state i, tagged by the source atlas's `classes[i]` and
+    `orders[i]`, so samples can be shifted by the displacement of the state
+    they belong to.
     """
 
     mapped_means: np.ndarray  # (k_s, d)
     displacement: np.ndarray  # (k_s, d), mapped - original mean
-    keys: list[tuple[int, int]]
+    classes: np.ndarray  # (k_s,)
+    orders: np.ndarray  # (k_s,)
 
 
 def barycentric_project(coupling_values: np.ndarray, locations: np.ndarray) -> np.ndarray:
@@ -45,8 +47,7 @@ def barycentric_map(
 ) -> MappedAtlas:
     """Map each source state mean onto the target atlas via the coupling."""
     mapped = barycentric_project(coupling.values, tgt_atlas.means)
-    keys = [(s.class_id, s.order) for s in src_atlas.states]
-    return MappedAtlas(mapped, mapped - src_atlas.means, keys)
+    return MappedAtlas(mapped, mapped - src_atlas.means, src_atlas.classes, src_atlas.orders)
 
 
 def transform_samples(
@@ -60,8 +61,7 @@ def transform_samples(
     by `assign_dataset_states`.  Window order, indices and labels are kept.
     """
     classes, orders = state_assignment
-    keys = np.array(mapped.keys, dtype=int).reshape(-1, 2)
-    match = (classes[:, None] == keys[:, 0]) & (orders[:, None] == keys[:, 1])
+    match = (classes[:, None] == mapped.classes) & (orders[:, None] == mapped.orders)
     known = match.any(axis=1)
     if not known.all():
         i = int(np.argmin(known))

@@ -61,8 +61,12 @@ class TaskSpec:
             raise ValueError("source and target user must differ (except for td)")
         if self.hyper_grid is not None:
             object.__setattr__(self, "hyper_grid", tuple(self.hyper_grid))
+            if method in ("ot", "otda", "trot") and not all(
+                isinstance(hyper, TrotHyperparams) for hyper in self.hyper_grid
+            ):
+                raise ValueError(f"{method} grid entries must be TrotHyperparams")
         for name in {"ot": ("group_weight", "order_weight"), "otda": ("order_weight",)}.get(method, ()):
-            if any(getattr(hyper, name, 0.0) > 0 for hyper in self.hyper_grid or ()):
+            if any(getattr(hyper, name) > 0 for hyper in self.hyper_grid or ()):
                 raise ValueError(f"{method} does not take {name} > 0")
 
 
@@ -220,6 +224,9 @@ def run_task(
     validation, test = temporal_split(target)
     if validation.labels is None or test.labels is None:
         return AdaptReport(spec, error="target labels required for evaluation",
+                           timing=time.perf_counter() - start)
+    if source.labels is None and spec.method != "td":
+        return AdaptReport(spec, error=f"source labels required for {spec.method}",
                            timing=time.perf_counter() - start)
 
     grid = spec.hyper_grid if spec.hyper_grid is not None else default_grid(spec.method)

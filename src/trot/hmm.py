@@ -5,13 +5,14 @@ In the default deterministic mode the chain advances one state per window,
 so the state path is fixed by window position and fitting reduces to
 per-state maximum likelihood.  The `em` mode learns self-transition
 probabilities with Baum-Welch restricted to the chain support.  The per-user
-bank of all C x N states forms the atlas whose uniform-weighted state means
-feed the transport solver.
+bank of all C x N states forms the atlas: (C*N, d) mean and variance arrays
+whose rows are tagged by class and 1-based order, and whose uniform-weighted
+means feed the transport solver.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,52 +25,36 @@ EM_MAX_ITER = 100
 EM_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class GaussianState:
-    """One temporal sub-state: diagonal Gaussian tagged (class, order).
-
-    `order` is the 1-based temporal position within the activity's chain.
-    """
-
-    mean: np.ndarray
-    var: np.ndarray
-    class_id: int
-    order: int
-
-
 @dataclass
 class ActivityHMM:
-    """Chain of N states for one activity; start is always the first state."""
+    """Chain of N diagonal Gaussians for one activity; row k is the state of
+    order k + 1, and the chain always starts in the first state."""
 
-    states: list[GaussianState]
+    means: np.ndarray  # (N, d)
+    var: np.ndarray  # (N, d)
     transition: np.ndarray  # (N, N) row-stochastic, chain support only
     log_likelihood_trace: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass
 class TemporalAtlas:
-    """All C x N states of one user with uniform probability masses."""
+    """All C x N states of one user with uniform probability masses.
 
-    states: list[GaussianState]
+    Row i is state i in the canonical (class ascending, order ascending)
+    layout; `orders` are 1-based positions within the activity's chain.
+    """
+
+    means: np.ndarray  # (C*N, d)
+    var: np.ndarray  # (C*N, d)
+    classes: np.ndarray  # (C*N,) int
+    orders: np.ndarray  # (C*N,) int
 
     @property
     def weights(self) -> np.ndarray:
-        return np.full(len(self.states), 1.0 / len(self.states))
-
-    @property
-    def means(self) -> np.ndarray:
-        return np.array([s.mean for s in self.states])
-
-    @property
-    def classes(self) -> np.ndarray:
-        return np.array([s.class_id for s in self.states])
-
-    @property
-    def orders(self) -> np.ndarray:
-        return np.array([s.order for s in self.states])
+        return np.full(len(self), 1.0 / len(self))
 
     def __len__(self):
-        return len(self.states)
+        return len(self.classes)
 
 
 def contiguous_runs(window_index: np.ndarray) -> list[np.ndarray]:
@@ -78,19 +63,7 @@ def contiguous_runs(window_index: np.ndarray) -> list[np.ndarray]:
     return np.split(np.arange(len(window_index)), breaks)
 
 
-def _state_mle(features: np.ndarray, path: np.ndarray, n_states: int, class_id: int):
-    states = []
-    for k in range(n_states):
-        members = features[path == k]
-        mean = members.mean(axis=0)
-        var = np.maximum(members.var(axis=0), VARIANCE_FLOOR)
-        states.append(GaussianState(mean, var, class_id, k + 1))
-    return states
-
-
-def _log_emissions(features: np.ndarray, states: list[GaussianState]) -> np.ndarray:
-    means = np.array([s.mean for s in states])
-    var = np.array([s.var for s in states])
+def _log_emissions(features: np.ndarray, means: np.ndarray, var: np.ndarray) -> np.ndarray:
     diff = features[:, None, :] - means[None, :, :]
     return -0.5 * (np.log(2 * np.pi * var).sum(axis=1)[None, :] + (diff**2 / var).sum(axis=2))
 
@@ -133,14 +106,14 @@ def _viterbi(log_b: np.ndarray, log_a: np.ndarray) -> np.ndarray:
     return path
 
 
-def _fit_em(class_windows: FeatureDataset, states: list[GaussianState]) -> ActivityHMM:
-    """Baum-Welch on the chain with self-transitions, started from `states`."""
-    n_states = len(states)
+def _fit_em(class_windows: FeatureDataset, means: np.ndarray, var: np.ndarray) -> ActivityHMM:
+    """Baum-Welch on the chain with self-transitions, started from the
+    (N, d) `means` and `var`."""
+    n_states = len(means)
     sequences = [class_windows.features[r] for r in contiguous_runs(class_windows.window_index)]
     support = np.eye(n_states) + np.roll(np.eye(n_states), 1, axis=1) > 0
     trans = support / support.sum(axis=1, keepdims=True)
 
-    states = list(states)
     trace = []
     with np.errstate(divide="ignore"):
         for _ in range(EM_MAX_ITER):
@@ -152,7 +125,7 @@ def _fit_em(class_windows: FeatureDataset, states: list[GaussianState]) -> Activ
             sq_acc = np.zeros((n_states, class_windows.dim))
             xi_sum = np.zeros((n_states, n_states))
             for seq in sequences:
-                log_b = _log_emissions(seq, states)
+                log_b = _log_emissions(seq, means, var)
                 ll, gamma, xi = _forward_backward(log_b, log_a)
                 total_ll += ll
                 gamma_sum += gamma.sum(axis=0)
@@ -165,16 +138,15 @@ def _fit_em(class_windows: FeatureDataset, states: list[GaussianState]) -> Activ
             if len(trace) > 1 and trace[-1] - trace[-2] < EM_TOL:
                 break
             # M-step; states with no responsibility keep their parameters
-            for k in range(n_states):
-                if gamma_sum[k] < 1e-12:
-                    continue
-                mean = mean_acc[k] / gamma_sum[k]
-                var = np.maximum(sq_acc[k] / gamma_sum[k] - mean**2, VARIANCE_FLOOR)
-                states[k] = replace(states[k], mean=mean, var=var)
+            live = gamma_sum[:, None] >= 1e-12
+            weight = np.where(live, gamma_sum[:, None], 1.0)
+            fitted = mean_acc / weight
+            var = np.where(live, np.maximum(sq_acc / weight - fitted**2, VARIANCE_FLOOR), var)
+            means = np.where(live, fitted, means)
             xi_sup = np.where(support, xi_sum, 0.0)
             rows = xi_sup.sum(axis=1, keepdims=True)
             trans = np.where(rows > 0, xi_sup / np.where(rows > 0, rows, 1.0), trans)
-    return ActivityHMM(states, trans, log_likelihood_trace=np.array(trace))
+    return ActivityHMM(means, var, trans, log_likelihood_trace=np.array(trace))
 
 
 def assign_states(
@@ -194,12 +166,11 @@ def assign_states(
             )
         path = np.concatenate([np.arange(len(r)) for r in runs]) % n_states
     elif mode == "em":
-        model = fit_activity_hmm(class_windows, n_states, mode, class_id=-1)
+        model = fit_activity_hmm(class_windows, n_states, mode)
         with np.errstate(divide="ignore"):
             log_a = np.log(model.transition)
-        path = np.concatenate(
-            [_viterbi(_log_emissions(class_windows.features[r], model.states), log_a) for r in runs]
-        )
+        emissions = (_log_emissions(class_windows.features[r], model.means, model.var) for r in runs)
+        path = np.concatenate([_viterbi(log_b, log_a) for log_b in emissions])
     else:
         raise ValueError(f"unknown mode {mode!r}")
     if len(np.unique(path)) < n_states:
@@ -210,7 +181,7 @@ def assign_states(
 
 
 def fit_activity_hmm(
-    class_windows: FeatureDataset, n_states: int, mode: str = "deterministic", class_id: int = 0
+    class_windows: FeatureDataset, n_states: int, mode: str = "deterministic"
 ) -> ActivityHMM:
     """Fit one activity's chain of N Gaussian states.
 
@@ -220,11 +191,13 @@ def fit_activity_hmm(
     allowed, initialized from the deterministic fit.
     """
     path = assign_states(class_windows, n_states)
-    states = _state_mle(class_windows.features, path, n_states, class_id)
+    members = [class_windows.features[path == k] for k in range(n_states)]
+    means = np.array([m.mean(axis=0) for m in members])
+    var = np.maximum(np.array([m.var(axis=0) for m in members]), VARIANCE_FLOOR)
     if mode == "deterministic":
-        return ActivityHMM(states, np.roll(np.eye(n_states), 1, axis=1))
+        return ActivityHMM(means, var, np.roll(np.eye(n_states), 1, axis=1))
     if mode == "em":
-        return _fit_em(class_windows, states)
+        return _fit_em(class_windows, means, var)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -238,19 +211,25 @@ def build_atlas(
     """
     if dataset.labels is None:
         raise ClassAbsentError("class absent: dataset has no labels")
-    states: list[GaussianState] = []
-    for c in np.unique(dataset.labels):
-        subset = dataset.subset(np.nonzero(dataset.labels == c)[0])
-        states.extend(fit_activity_hmm(subset, n_states, mode, class_id=int(c)).states)
-    return TemporalAtlas(states)
+    classes = np.unique(dataset.labels)
+    models = [
+        fit_activity_hmm(dataset.subset(np.nonzero(dataset.labels == c)[0]), n_states, mode)
+        for c in classes
+    ]
+    return TemporalAtlas(
+        np.concatenate([m.means for m in models]),
+        np.concatenate([m.var for m in models]),
+        np.repeat(classes, n_states),
+        np.tile(np.arange(1, n_states + 1), len(classes)),
+    )
 
 
 def assign_dataset_states(
     dataset: FeatureDataset, n_states: int, mode: str = "deterministic"
 ):
-    """Per-window (class, order) assignment matching `build_atlas` states.
+    """Per-window (class, order) assignment matching the `build_atlas` rows.
 
-    Orders are 1-based to match `GaussianState.order`.
+    Orders are 1-based, as in `TemporalAtlas.orders`.
     """
     if dataset.labels is None:
         raise ClassAbsentError("class absent: dataset has no labels")

@@ -13,7 +13,7 @@ over rows or cells.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -67,7 +67,6 @@ class FeatureDataset:
     labels: np.ndarray | None  # (n,) int, or None when unlabeled
     window_index: np.ndarray  # (n,) int, strictly increasing
     user_id: str = ""
-    scaler: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
@@ -94,7 +93,7 @@ class FeatureDataset:
         indices = np.asarray(indices)
         labels = None if self.labels is None else self.labels[indices]
         return FeatureDataset(
-            self.features[indices], labels, self.window_index[indices], self.user_id, self.scaler
+            self.features[indices], labels, self.window_index[indices], self.user_id
         )
 
     def with_labels(self, labels) -> "FeatureDataset":
@@ -272,7 +271,7 @@ def maxabs_fit_apply(dataset: FeatureDataset, reference_scaler=None) -> FeatureD
             raise ScalerMismatchError(
                 f"scaler mismatch: {scale.shape} vs {dataset.dim} features"
             )
-    return replace(dataset, features=dataset.features / scale, scaler=scale)
+    return replace(dataset, features=dataset.features / scale)
 
 
 def _read_csv(path: Path, header_ok) -> np.ndarray:

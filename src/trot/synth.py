@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hmm import GaussianState, TemporalAtlas
+from .hmm import TemporalAtlas
 from .preprocess import FeatureDataset
 
 
@@ -87,17 +87,13 @@ def _schedule(spec: SynthSpec) -> list[tuple[int, int]]:
 
 
 def _truth_atlas(mu: np.ndarray, spec: SynthSpec) -> TemporalAtlas:
-    states = [
-        GaussianState(
-            mu[c, k].copy(),
-            np.full(spec.feature_dim, spec.noise_std**2),
-            c,
-            k + 1,
-        )
-        for c in range(spec.n_classes)
-        for k in range(spec.n_states)
-    ]
-    return TemporalAtlas(states)
+    c, n, d = mu.shape
+    return TemporalAtlas(
+        mu.reshape(c * n, d),
+        np.full((c * n, d), spec.noise_std**2),
+        np.repeat(np.arange(c), n),
+        np.tile(np.arange(1, n + 1), c),
+    )
 
 
 def generate_user(

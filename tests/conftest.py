@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trot.hmm import GaussianState, TemporalAtlas
+from trot.hmm import TemporalAtlas
 from trot.preprocess import FeatureDataset, Recording
 
 
@@ -24,11 +24,10 @@ def make_dataset(features, labels=None, start=0, user_id="u"):
 
 def make_atlas(means, classes, orders, var=1e-4):
     means = np.atleast_2d(np.asarray(means, dtype=float))
-    states = [
-        GaussianState(m, np.full(means.shape[1], var), int(c), int(o))
-        for m, c, o in zip(means, classes, orders)
-    ]
-    return TemporalAtlas(states)
+    return TemporalAtlas(
+        means, np.full(means.shape, var), np.asarray(classes, dtype=int),
+        np.asarray(orders, dtype=int),
+    )
 
 
 @pytest.fixture

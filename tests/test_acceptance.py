@@ -154,9 +154,9 @@ def test_criterion_5_hmm_oracle():
         for k in range(n_states):
             members = x[np.arange(n) % n_states == k]  # independent grouping
             exact_ok = exact_ok and bool(
-                np.array_equal(model.states[k].mean, members.mean(axis=0))
+                np.array_equal(model.means[k], members.mean(axis=0))
                 and np.array_equal(
-                    model.states[k].var, np.maximum(members.var(axis=0), VARIANCE_FLOOR)
+                    model.var[k], np.maximum(members.var(axis=0), VARIANCE_FLOOR)
                 )
             )
     monotone_ok, min_gain = True, np.inf

@@ -19,7 +19,7 @@ class TestBarycentricMap:
         tgt = make_atlas([[0, 0], [2, 2]], [0, 0], [1, 2])
         mapped = barycentric_map(coupling(0.5 * np.eye(2)), src, tgt)
         assert mapped.mapped_means.tolist() == [[0, 0], [2, 2]]
-        assert mapped.keys == [(0, 1), (0, 2)]
+        assert (mapped.classes.tolist(), mapped.orders.tolist()) == ([0, 0], [1, 2])
 
     def test_uniform_gives_barycenter(self):
         src = make_atlas([[0, 0], [1, 1]], [0, 0], [1, 2])
@@ -91,21 +91,24 @@ class TestTransformSamples:
         mapped = barycentric_map(coupling(np.eye(4) / 4), atlas, tgt)
         out = transform_samples(ds, assignment, mapped)
         classes, orders = assignment
-        for i, (c, o) in enumerate(mapped.keys):
+        for i, (c, o) in enumerate(zip(mapped.classes, mapped.orders)):
             members = (classes == c) & (orders == o)
             before = ds.features[members].mean(axis=0)
             after = out.features[members].mean(axis=0)
             assert np.allclose(after - before, mapped.displacement[i], atol=1e-12)
 
     def test_states_out_of_canonical_order(self, rng):
-        # keys are matched by value, not by position in the (class, order) layout
+        # states are matched by value, not by position in the (class, order) layout
         ds, atlas, assignment = self._setup(rng)
-        src = TemporalAtlas(atlas.states[::-1])
+        src = TemporalAtlas(
+            atlas.means[::-1], atlas.var[::-1], atlas.classes[::-1], atlas.orders[::-1]
+        )
         tgt = make_atlas(src.means + np.arange(8.0).reshape(4, 2), src.classes, src.orders)
         mapped = barycentric_map(coupling(np.eye(4) / 4), src, tgt)
         out = transform_samples(ds, assignment, mapped)
         for i, key in enumerate(zip(*assignment)):
-            shift = mapped.displacement[mapped.keys.index(key)]
+            row = np.flatnonzero((mapped.classes == key[0]) & (mapped.orders == key[1])).item()
+            shift = mapped.displacement[row]
             assert np.array_equal(out.features[i], ds.features[i] + shift)
 
     def test_preserves_count_order_labels(self, rng):

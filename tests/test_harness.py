@@ -231,6 +231,20 @@ class TestRunTask:
         with pytest.raises(ValueError, match=f"{method} does not take {name} > 0"):
             TaskSpec("s", "t", method, grid)
 
+    @pytest.mark.parametrize("method", ["ot", "otda", "trot"])
+    def test_spec_rejects_grid_entries_that_are_not_hyperparams(self, method):
+        with pytest.raises(ValueError, match=f"{method} grid entries must be TrotHyperparams"):
+            TaskSpec("s", "t", method, (TrotHyperparams(), None))
+        TaskSpec("s", "t", "na", (None,))  # na, td and coral take no hyperparameters
+
+    @pytest.mark.parametrize("method", ["na", "ot", "otda", "coral", "trot"])
+    def test_unlabeled_source_fails_before_any_grid_point(self, monkeypatch, method):
+        source, target = tiny_pair()
+        monkeypatch.setattr(harness, "_solver", lambda *args: pytest.fail("a grid point ran"))
+        report = run_task(TaskSpec("s", "t", method), replace(source, labels=None), target)
+        assert report.error == f"source labels required for {method}"
+        assert report.test_accuracy is None
+
     def test_predictions_cover_test_half_only(self):
         source, target = tiny_pair()
         report = run_task(TaskSpec("s", "t", "na"), source, target)
@@ -304,15 +318,32 @@ class TestRunMatrix:
         assert ran == []
 
     def test_rejects_bad_grid_before_any_task(self, monkeypatch):
-        # otda at a nonzero order weight once raised ValueError mid-matrix
+        # otda at a nonzero order weight once raised ValueError mid-matrix, and
+        # a None ot grid entry raised AttributeError mid-matrix
         ran = []
         monkeypatch.setattr(harness, "run_task", lambda *args: ran.append(args))
-        with pytest.raises(ValueError, match="otda does not take order_weight"):
-            run_matrix(
-                self._three_users(), methods=["na", "otda"],
-                grids={"otda": (TrotHyperparams(order_weight=1.0),)},
-            )
+        for method, grid, message in [
+            ("otda", (TrotHyperparams(order_weight=1.0),), "otda does not take order_weight"),
+            ("ot", (None,), "ot grid entries must be TrotHyperparams"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                run_matrix(self._three_users(), methods=["na", method], grids={method: grid})
         assert ran == []
+
+    def test_unlabeled_source_fails_its_tasks_not_the_matrix(self):
+        # otda's eta > 0 grid points once raised ValueError from gcg_solve and
+        # lost every task of the matrix, na's too
+        source, target = tiny_pair()
+        report = run_matrix(
+            {"s": replace(source, labels=None), "t": target}, methods=["na", "td", "otda"]
+        )
+        status = {(t["source"], t["method"]): (t["status"], t["error"]) for t in report["tasks"]}
+        assert len(status) == 6
+        assert status[("s", "na")] == ("failed", "source labels required for na")
+        assert status[("s", "otda")] == ("failed", "source labels required for otda")
+        assert status[("s", "td")][0] == "ok"  # td trains on the target's validation half
+        for method in ("na", "td", "otda"):
+            assert status[("t", method)] == ("failed", "target labels required for evaluation")
 
 
 class TestDefaultGrids:

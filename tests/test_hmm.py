@@ -1,18 +1,188 @@
+from dataclasses import dataclass, replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trot.errors import ClassAbsentError, InsufficientDataError
+from trot.errors import ClassAbsentError, InsufficientDataError, NumericalFailureError
 from trot.hmm import (
+    EM_MAX_ITER,
+    EM_TOL,
     VARIANCE_FLOOR,
+    TemporalAtlas,
+    _forward_backward,
+    _viterbi,
     assign_dataset_states,
     assign_states,
     build_atlas,
     contiguous_runs,
     fit_activity_hmm,
 )
+from trot.preprocess import FeatureDataset
 from trot.synth import SynthSpec, generate_pair
 
 from .conftest import make_dataset
+
+
+@dataclass(frozen=True)
+class ListState:
+    """One state of the list-based reference atlas, tagged (class, order)."""
+
+    mean: np.ndarray
+    var: np.ndarray
+    class_id: int
+    order: int
+
+
+def reference_log_emissions(features, states):
+    means = np.array([s.mean for s in states])
+    var = np.array([s.var for s in states])
+    diff = features[:, None, :] - means[None, :, :]
+    return -0.5 * (np.log(2 * np.pi * var).sum(axis=1)[None, :] + (diff**2 / var).sum(axis=2))
+
+
+def reference_fit_em(class_windows, states):
+    """Baum-Welch that updates the state list one state at a time."""
+    n_states = len(states)
+    sequences = [class_windows.features[r] for r in contiguous_runs(class_windows.window_index)]
+    support = np.eye(n_states) + np.roll(np.eye(n_states), 1, axis=1) > 0
+    trans = support / support.sum(axis=1, keepdims=True)
+    states = list(states)
+    trace = []
+    with np.errstate(divide="ignore"):
+        for _ in range(EM_MAX_ITER):
+            log_a = np.where(support, np.log(np.where(trans > 0, trans, 1.0)), -np.inf)
+            log_a[support & (trans <= 0)] = -745.0
+            total_ll = 0.0
+            gamma_sum = np.zeros(n_states)
+            mean_acc = np.zeros((n_states, class_windows.dim))
+            sq_acc = np.zeros((n_states, class_windows.dim))
+            xi_sum = np.zeros((n_states, n_states))
+            for seq in sequences:
+                ll, gamma, xi = _forward_backward(reference_log_emissions(seq, states), log_a)
+                total_ll += ll
+                gamma_sum += gamma.sum(axis=0)
+                mean_acc += gamma.T @ seq
+                sq_acc += gamma.T @ (seq**2)
+                xi_sum += xi
+            if not np.isfinite(total_ll):
+                raise NumericalFailureError("numerical failure: non-finite likelihood")
+            trace.append(total_ll)
+            if len(trace) > 1 and trace[-1] - trace[-2] < EM_TOL:
+                break
+            for k in range(n_states):
+                if gamma_sum[k] < 1e-12:
+                    continue
+                mean = mean_acc[k] / gamma_sum[k]
+                var = np.maximum(sq_acc[k] / gamma_sum[k] - mean**2, VARIANCE_FLOOR)
+                states[k] = replace(states[k], mean=mean, var=var)
+            xi_sup = np.where(support, xi_sum, 0.0)
+            rows = xi_sup.sum(axis=1, keepdims=True)
+            trans = np.where(rows > 0, xi_sup / np.where(rows > 0, rows, 1.0), trans)
+    return states, trans
+
+
+def reference_assign_states(class_windows, n_states, mode):
+    runs = contiguous_runs(class_windows.window_index)
+    if mode == "deterministic":
+        if len(class_windows) < n_states:
+            raise InsufficientDataError(
+                f"insufficient class data: {len(class_windows)} windows < {n_states} states"
+            )
+        path = np.concatenate([np.arange(len(r)) for r in runs]) % n_states
+    else:
+        states, trans = reference_fit(class_windows, n_states, mode, class_id=-1)
+        with np.errstate(divide="ignore"):
+            log_a = np.log(trans)
+        path = np.concatenate([
+            _viterbi(reference_log_emissions(class_windows.features[r], states), log_a)
+            for r in runs
+        ])
+    if len(np.unique(path)) < n_states:
+        raise InsufficientDataError("insufficient class data: some states received no windows")
+    return path
+
+
+def reference_fit(class_windows, n_states, mode, class_id):
+    """(state list, transition) of one activity, one state object per order."""
+    path = reference_assign_states(class_windows, n_states, "deterministic")
+    states = []
+    for k in range(n_states):
+        members = class_windows.features[path == k]
+        var = np.maximum(members.var(axis=0), VARIANCE_FLOOR)
+        states.append(ListState(members.mean(axis=0), var, class_id, k + 1))
+    if mode == "deterministic":
+        return states, np.roll(np.eye(n_states), 1, axis=1)
+    return reference_fit_em(class_windows, states)
+
+
+def reference_build_atlas(dataset, n_states, mode):
+    """(means, var, classes, orders) rebuilt from the list of state objects."""
+    if dataset.labels is None:
+        raise ClassAbsentError("class absent: dataset has no labels")
+    states = []
+    for c in np.unique(dataset.labels):
+        subset = dataset.subset(np.nonzero(dataset.labels == c)[0])
+        states.extend(reference_fit(subset, n_states, mode, class_id=int(c))[0])
+    return (
+        np.array([s.mean for s in states]),
+        np.array([s.var for s in states]),
+        np.array([s.class_id for s in states]),
+        np.array([s.order for s in states]),
+    )
+
+
+def reference_assign_dataset_states(dataset, n_states, mode):
+    if dataset.labels is None:
+        raise ClassAbsentError("class absent: dataset has no labels")
+    orders = np.zeros(len(dataset), dtype=int)
+    for c in np.unique(dataset.labels):
+        idx = np.nonzero(dataset.labels == c)[0]
+        orders[idx] = reference_assign_states(dataset.subset(idx), n_states, mode) + 1
+    return dataset.labels.copy(), orders
+
+
+@st.composite
+def labelled_streams(draw):
+    """Small labelled streams: 1-4 classes of 1-12 windows each, laid out in
+    blocks, round robin or shuffled, with optional gaps in `window_index`."""
+    n_classes = draw(st.integers(1, 4))
+    values = draw(st.lists(st.integers(-3, 9), min_size=n_classes, max_size=n_classes, unique=True))
+    sizes = draw(st.lists(st.integers(1, 12), min_size=n_classes, max_size=n_classes))
+    layout = draw(st.sampled_from(["blocks", "round_robin", "shuffled"]))
+    gap_rate = draw(st.sampled_from([0.0, 0.1, 0.4]))
+    dim = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = np.repeat(values, sizes)
+    if layout == "round_robin":
+        labels = labels[np.argsort(np.concatenate([np.arange(n) for n in sizes]), kind="stable")]
+    elif layout == "shuffled":
+        labels = rng.permutation(labels)
+    steps = np.where(rng.uniform(size=len(labels)) < gap_rate, rng.integers(2, 5, len(labels)), 1)
+    features = rng.normal(0.0, 1.0, (len(labels), dim)) + 3.0 * labels[:, None]
+    return FeatureDataset(features, labels, np.cumsum(steps), "u")
+
+
+def outcome(fn, *args):
+    """The arrays `fn` returns (an atlas as its four fields), or what it raises."""
+    try:
+        result = fn(*args)
+    except Exception as exc:  # compared, not swallowed
+        return exc
+    if isinstance(result, TemporalAtlas):
+        return result.means, result.var, result.classes, result.orders
+    return result
+
+
+def assert_same_outcome(got, want):
+    if isinstance(got, Exception) or isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+        return
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
 
 
 class TestAssignStates:
@@ -50,16 +220,16 @@ class TestFitDeterministic:
     def test_alternating_point_masses(self):
         ds = make_dataset([[0.0], [10.0], [0.0], [10.0]])
         model = fit_activity_hmm(ds, 2)
-        assert model.states[0].mean[0] == 0.0
-        assert model.states[1].mean[0] == 10.0
-        assert model.states[0].var[0] == VARIANCE_FLOOR
+        assert model.means[0][0] == 0.0
+        assert model.means[1][0] == 10.0
+        assert model.var[0][0] == VARIANCE_FLOOR
         assert model.transition.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
     def test_single_state_is_global_gaussian(self, rng):
         x = rng.normal(3.0, 2.0, (50, 2))
         model = fit_activity_hmm(make_dataset(x), 1)
-        assert model.states[0].mean == pytest.approx(x.mean(axis=0))
-        assert model.states[0].var == pytest.approx(x.var(axis=0))
+        assert model.means[0] == pytest.approx(x.mean(axis=0))
+        assert model.var[0] == pytest.approx(x.var(axis=0))
         assert model.transition.tolist() == [[1.0]]
 
     def test_matches_parity_mle_oracle(self, rng):
@@ -71,10 +241,10 @@ class TestFitDeterministic:
         model = fit_activity_hmm(make_dataset(x), 2)
         for k in (0, 1):
             members = x[np.arange(200) % 2 == k]
-            assert model.states[k].mean[0] == members.mean()
-            assert model.states[k].var[0] == max(members.var(), VARIANCE_FLOOR)
-        assert abs(model.states[0].mean[0] - 0.0) < 0.3
-        assert abs(model.states[1].mean[0] - 5.0) < 0.3
+            assert model.means[k][0] == members.mean()
+            assert model.var[k][0] == max(members.var(), VARIANCE_FLOOR)
+        assert abs(model.means[0][0] - 0.0) < 0.3
+        assert abs(model.means[1][0] - 5.0) < 0.3
 
     def test_row_stochastic_on_chain_support(self):
         model = fit_activity_hmm(make_dataset(np.zeros((8, 1))), 4)
@@ -102,7 +272,7 @@ class TestFitEM:
 
     def test_recovers_separated_means(self, rng):
         model = fit_activity_hmm(self._noisy_alternating(rng), 2, mode="em")
-        means = sorted(s.mean[0] for s in model.states)
+        means = sorted(m[0] for m in model.means)
         assert abs(means[0] - 0.0) < 0.5
         assert abs(means[1] - 6.0) < 0.5
 
@@ -138,13 +308,13 @@ class TestBuildAtlas:
         atlas = build_atlas(make_dataset(feats, np.zeros(10, dtype=int)), 1)
         assert len(atlas) == 1
         assert atlas.weights.tolist() == [1.0]
-        assert atlas.states[0].mean == pytest.approx(feats.mean(axis=0))
+        assert atlas.means[0] == pytest.approx(feats.mean(axis=0))
 
     def test_canonical_ordering(self, rng):
         feats = rng.normal(0, 1, (60, 2))
         labels = np.tile(np.repeat([2, 0, 1], 10), 2)
         atlas = build_atlas(make_dataset(feats, labels), 2)
-        assert [(s.class_id, s.order) for s in atlas.states] == [
+        assert list(zip(atlas.classes.tolist(), atlas.orders.tolist())) == [
             (0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2)
         ]
 
@@ -158,9 +328,10 @@ class TestBuildAtlas:
         source, _, (true_atlas, _) = generate_pair(spec)
         atlas = build_atlas(source, 4)
         tol = 4 * spec.noise_std / np.sqrt(spec.windows_per_class / spec.n_states)
-        for got, want in zip(atlas.states, true_atlas.states):
-            assert (got.class_id, got.order) == (want.class_id, want.order)
-            assert np.all(np.abs(got.mean - want.mean) < tol)
+        assert np.array_equal(atlas.classes, true_atlas.classes)
+        assert np.array_equal(atlas.orders, true_atlas.orders)
+        for got, want in zip(atlas.means, true_atlas.means):
+            assert np.all(np.abs(got - want) < tol)
 
     def test_deterministic_given_inputs(self, rng):
         feats = rng.normal(0, 1, (30, 2))
@@ -168,7 +339,7 @@ class TestBuildAtlas:
         a1 = build_atlas(make_dataset(feats, labels), 2)
         a2 = build_atlas(make_dataset(feats, labels), 2)
         assert np.array_equal(a1.means, a2.means)
-        assert np.array_equal([s.var for s in a1.states], [s.var for s in a2.states])
+        assert np.array_equal(a1.var, a2.var)
         assert np.array_equal(a1.classes, a2.classes)
         assert np.array_equal(a1.orders, a2.orders)
 
@@ -181,3 +352,20 @@ class TestBuildAtlas:
             (c, o) for c in (0, 1) for o in (1, 2, 3)
         }
         assert orders.min() == 1 and orders.max() == 3
+
+
+class TestMatchesListReference:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(dataset=labelled_streams(), n_states=st.integers(1, 4),
+           mode=st.sampled_from(["deterministic", "em"]))
+    def test_bit_identical_to_per_state_list(self, dataset, n_states, mode):
+        # the atlas was once a list of per-state objects; the arrays must hold
+        # exactly what that list held, and fail the same way where it failed
+        assert_same_outcome(
+            outcome(build_atlas, dataset, n_states, mode),
+            outcome(reference_build_atlas, dataset, n_states, mode),
+        )
+        assert_same_outcome(
+            outcome(assign_dataset_states, dataset, n_states, mode),
+            outcome(reference_assign_dataset_states, dataset, n_states, mode),
+        )

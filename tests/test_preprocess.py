@@ -439,7 +439,7 @@ class TestMaxAbs:
         ds = make_dataset([[0.0], [0.0]])
         out = maxabs_fit_apply(ds)
         assert out.features.tolist() == [[0.0], [0.0]]
-        assert out.scaler[0] == 1.0
+        assert fit_maxabs(ds)[0] == 1.0
 
     def test_already_scaled_unchanged(self):
         ds = make_dataset([[-1.0], [0.5]])
