@@ -1,13 +1,13 @@
 """Per-activity temporal sub-state models.
 
-Each activity is modeled as a cyclic chain of N diagonal-Gaussian states.
-In the default deterministic mode the chain advances one state per window,
-so the state path is fixed by window position and fitting reduces to
-per-state maximum likelihood.  The `em` mode learns self-transition
-probabilities with Baum-Welch restricted to the chain support.  The per-user
-bank of all C x N states forms the atlas: (C*N, d) mean and variance arrays
-whose rows are tagged by class and 1-based order, and whose uniform-weighted
-means feed the transport solver.
+Each activity is modeled as a cyclic chain of N diagonal-Gaussian states in
+which state k stays in k or advances to (k + 1) mod N.  In the default
+deterministic mode the chain always advances, so the state path is fixed by
+window position and fitting reduces to per-state maximum likelihood.  The
+`em` mode learns each state's stay probability with Baum-Welch and decodes
+with Viterbi, both stepping through all runs of a class at once.  The
+per-user bank of all C x N states forms the atlas: (C*N, d) mean and
+variance arrays tagged by class and 1-based order.
 """
 
 from __future__ import annotations
@@ -17,22 +17,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ClassAbsentError, InsufficientDataError, NumericalFailureError
-from .ot_core import _logsumexp
 from .preprocess import FeatureDataset
 
 VARIANCE_FLOOR = 1e-6
 EM_MAX_ITER = 100
 EM_TOL = 1e-6
+LOG_ZERO = -745.0  # the fit's log of a zero probability, below that of any positive double
 
 
 @dataclass
 class ActivityHMM:
     """Chain of N diagonal Gaussians for one activity; row k is the state of
-    order k + 1, and the chain always starts in the first state."""
+    order k + 1.  The chain starts in the first state; state k stays with
+    probability `stay[k]` and otherwise advances to state (k + 1) mod N."""
 
     means: np.ndarray  # (N, d)
     var: np.ndarray  # (N, d)
-    transition: np.ndarray  # (N, N) row-stochastic, chain support only
+    stay: np.ndarray  # (N,)
     log_likelihood_trace: np.ndarray | None = field(default=None, repr=False)
 
 
@@ -57,10 +58,25 @@ class TemporalAtlas:
         return len(self.classes)
 
 
-def contiguous_runs(window_index: np.ndarray) -> list[np.ndarray]:
-    """Split positions into maximal runs of consecutive window indices."""
-    breaks = np.nonzero(np.diff(window_index) != 1)[0] + 1
-    return np.split(np.arange(len(window_index)), breaks)
+def run_steps(window_index: np.ndarray) -> np.ndarray:
+    """Position of each window within its maximal run of consecutive indices."""
+    pos = np.arange(len(window_index))
+    starts = np.diff(window_index, prepend=np.nan) != 1
+    return pos - np.maximum.accumulate(np.where(starts, pos, 0))
+
+
+def _packing(window_index: np.ndarray):
+    """Step-major packing, longest run first: block t holds the t-th window of
+    every run longer than t, a prefix of block t - 1's runs.  Returns the packed
+    order, the number of runs, the (previous, current) slices of every later
+    block and each later window's packed predecessor."""
+    steps = run_steps(window_index)
+    run = np.cumsum(steps == 0) - 1
+    sizes = np.bincount(steps)
+    start = np.cumsum(sizes) - sizes
+    blocks = [(slice(p, p + n), slice(s, s + n)) for p, s, n in zip(start, start[1:], sizes[1:])]
+    prev = np.arange(sizes[0], len(steps)) - np.repeat(sizes[:-1], sizes[1:])
+    return np.lexsort((run, -np.bincount(run)[run], steps)), sizes[0], blocks, prev
 
 
 def _log_emissions(features: np.ndarray, means: np.ndarray, var: np.ndarray) -> np.ndarray:
@@ -68,85 +84,71 @@ def _log_emissions(features: np.ndarray, means: np.ndarray, var: np.ndarray) -> 
     return -0.5 * (np.log(2 * np.pi * var).sum(axis=1)[None, :] + (diff**2 / var).sum(axis=2))
 
 
-def _forward_backward(log_b: np.ndarray, log_a: np.ndarray):
-    """Log-space forward-backward for one sequence starting in state 0.
-
-    Returns (log-likelihood, state posteriors, expected transition counts).
-    """
-    t_len, n = log_b.shape
-    log_alpha = np.empty((t_len, n))
-    log_alpha[0] = np.where(np.arange(n) == 0, log_b[0], -np.inf)
-    for t in range(1, t_len):
-        log_alpha[t] = log_b[t] + _logsumexp(log_alpha[t - 1][:, None] + log_a, axis=0)
-    ll = _logsumexp(log_alpha[-1], axis=0)
-    log_beta = np.zeros((t_len, n))
-    for t in range(t_len - 2, -1, -1):
-        log_beta[t] = _logsumexp(log_a + (log_b[t + 1] + log_beta[t + 1])[None, :], axis=1)
-    gamma = np.exp(log_alpha + log_beta - ll)
-    xi = np.zeros((n, n))
-    for t in range(t_len - 1):
-        xi += np.exp(
-            log_alpha[t][:, None] + log_a + (log_b[t + 1] + log_beta[t + 1])[None, :] - ll
-        )
-    return ll, gamma, xi
-
-
-def _viterbi(log_b: np.ndarray, log_a: np.ndarray) -> np.ndarray:
-    t_len, n = log_b.shape
-    score = np.where(np.arange(n) == 0, log_b[0], -np.inf)
-    back = np.zeros((t_len, n), dtype=int)
-    for t in range(1, t_len):
-        cand = score[:, None] + log_a
-        back[t] = np.argmax(cand, axis=0)
-        score = log_b[t] + np.max(cand, axis=0)
-    path = np.empty(t_len, dtype=int)
-    path[-1] = int(np.argmax(score))
-    for t in range(t_len - 1, 0, -1):
-        path[t - 1] = back[t, path[t]]
-    return path
+def _forward(log_b, blocks, log_stay, log_adv, combine) -> np.ndarray:
+    """Forward pass from the first state at every run's start, combining the
+    stay and advance arrivals with np.logaddexp (Baum-Welch) or np.maximum
+    (Viterbi)."""
+    out = np.where(np.arange(log_b.shape[1]) == 0, log_b, -np.inf)
+    for prev, cur in blocks:
+        out[cur] = log_b[cur] + combine(out[prev] + log_stay, np.roll(out[prev] + log_adv, 1, axis=1))
+    return out
 
 
 def _fit_em(class_windows: FeatureDataset, means: np.ndarray, var: np.ndarray) -> ActivityHMM:
-    """Baum-Welch on the chain with self-transitions, started from the
-    (N, d) `means` and `var`."""
-    n_states = len(means)
-    sequences = [class_windows.features[r] for r in contiguous_runs(class_windows.window_index)]
-    support = np.eye(n_states) + np.roll(np.eye(n_states), 1, axis=1) > 0
-    trans = support / support.sum(axis=1, keepdims=True)
-
+    """Baum-Welch on the stay/advance chain, started from the (N, d) `means`
+    and `var` with every stay probability at 1/2."""
+    order, n_runs, blocks, prev = _packing(class_windows.window_index)
+    x = class_windows.features[order]
+    stay = np.full(len(means), 0.5)
     trace = []
+    for _ in range(EM_MAX_ITER):
+        with np.errstate(divide="ignore"):
+            log_stay, log_adv = (np.maximum(np.log(p), LOG_ZERO) for p in (stay, 1 - stay))
+        log_b = _log_emissions(x, means, var)
+        log_alpha = _forward(log_b, blocks, log_stay, log_adv, np.logaddexp)
+        log_beta = np.zeros_like(log_b)
+        for before, cur in reversed(blocks):
+            ahead = log_b[cur] + log_beta[cur]
+            log_beta[before] = np.logaddexp(ahead + log_stay, np.roll(ahead, -1, axis=1) + log_adv)
+        ll = np.logaddexp.reduce(log_alpha + log_beta, axis=1)  # its run's, at every window
+        trace.append(ll[:n_runs].sum())
+        if not np.isfinite(trace[-1]):
+            raise NumericalFailureError("numerical failure: non-finite likelihood")
+        if len(trace) > 1 and trace[-1] - trace[-2] < EM_TOL:
+            break
+        gamma = np.exp(log_alpha + log_beta - ll[:, None])
+        ahead = (log_b + log_beta - ll[:, None])[n_runs:]
+        stays = np.exp(log_alpha[prev] + log_stay + ahead).sum(axis=0)
+        advances = np.exp(log_alpha[prev] + log_adv + np.roll(ahead, -1, axis=1)).sum(axis=0)
+        # M-step; states with no responsibility or no moves keep their parameters
+        mass = gamma.sum(axis=0)[:, None]
+        live = mass >= 1e-12
+        weight = np.where(live, mass, 1.0)
+        fitted = gamma.T @ x / weight
+        spread = np.einsum("wk,wkd->kd", gamma, (x[:, None, :] - fitted) ** 2) / weight
+        var = np.where(live, np.maximum(spread, VARIANCE_FLOOR), var)
+        means = np.where(live, fitted, means)
+        moves = stays + advances
+        stay = np.divide(stays, moves, out=stay, where=moves > 0)
+    return ActivityHMM(means, var, stay, log_likelihood_trace=np.array(trace))
+
+
+def _viterbi(class_windows: FeatureDataset, model: ActivityHMM) -> np.ndarray:
+    """Most likely state of every window, each run decoded from the first state."""
+    order, n_runs, blocks, prev = _packing(class_windows.window_index)
+    log_b = _log_emissions(class_windows.features[order], model.means, model.var)
     with np.errstate(divide="ignore"):
-        for _ in range(EM_MAX_ITER):
-            log_a = np.where(support, np.log(np.where(trans > 0, trans, 1.0)), -np.inf)
-            log_a[support & (trans <= 0)] = -745.0
-            total_ll = 0.0
-            gamma_sum = np.zeros(n_states)
-            mean_acc = np.zeros((n_states, class_windows.dim))
-            sq_acc = np.zeros((n_states, class_windows.dim))
-            xi_sum = np.zeros((n_states, n_states))
-            for seq in sequences:
-                log_b = _log_emissions(seq, means, var)
-                ll, gamma, xi = _forward_backward(log_b, log_a)
-                total_ll += ll
-                gamma_sum += gamma.sum(axis=0)
-                mean_acc += gamma.T @ seq
-                sq_acc += gamma.T @ (seq**2)
-                xi_sum += xi
-            if not np.isfinite(total_ll):
-                raise NumericalFailureError("numerical failure: non-finite likelihood")
-            trace.append(total_ll)
-            if len(trace) > 1 and trace[-1] - trace[-2] < EM_TOL:
-                break
-            # M-step; states with no responsibility keep their parameters
-            live = gamma_sum[:, None] >= 1e-12
-            weight = np.where(live, gamma_sum[:, None], 1.0)
-            fitted = mean_acc / weight
-            var = np.where(live, np.maximum(sq_acc / weight - fitted**2, VARIANCE_FLOOR), var)
-            means = np.where(live, fitted, means)
-            xi_sup = np.where(support, xi_sum, 0.0)
-            rows = xi_sup.sum(axis=1, keepdims=True)
-            trans = np.where(rows > 0, xi_sup / np.where(rows > 0, rows, 1.0), trans)
-    return ActivityHMM(means, var, trans, log_likelihood_trace=np.array(trace))
+        log_stay, log_adv = np.log(model.stay), np.log(1 - model.stay)
+    score = _forward(log_b, blocks, log_stay, log_adv, np.maximum)
+    stayed, advanced = score[prev] + log_stay, np.roll(score[prev] + log_adv, 1, axis=1)
+    # ties go to the lower-numbered predecessor: the state before, except for state 0
+    back = np.zeros(score.shape, dtype=bool)
+    back[n_runs:] = np.where(np.arange(len(model.stay)) > 0, advanced >= stayed, advanced > stayed)
+    path = np.argmax(score, axis=1)  # kept where a run ends
+    for before, cur in reversed(blocks):
+        arrived = path[cur, None]
+        path[before] = (arrived - np.take_along_axis(back[cur], arrived, 1))[:, 0] % len(model.stay)
+    return path[np.argsort(order)]
 
 
 def assign_states(
@@ -158,19 +160,14 @@ def assign_states(
     at every gap in `window_index`; em mode returns the Viterbi path of the
     fitted model.  Every state must receive at least one window.
     """
-    runs = contiguous_runs(class_windows.window_index)
     if mode == "deterministic":
         if len(class_windows) < n_states:
             raise InsufficientDataError(
                 f"insufficient class data: {len(class_windows)} windows < {n_states} states"
             )
-        path = np.concatenate([np.arange(len(r)) for r in runs]) % n_states
+        path = run_steps(class_windows.window_index) % n_states
     elif mode == "em":
-        model = fit_activity_hmm(class_windows, n_states, mode)
-        with np.errstate(divide="ignore"):
-            log_a = np.log(model.transition)
-        emissions = (_log_emissions(class_windows.features[r], model.means, model.var) for r in runs)
-        path = np.concatenate([_viterbi(log_b, log_a) for log_b in emissions])
+        path = _viterbi(class_windows, fit_activity_hmm(class_windows, n_states, mode))
     else:
         raise ValueError(f"unknown mode {mode!r}")
     if len(np.unique(path)) < n_states:
@@ -186,16 +183,16 @@ def fit_activity_hmm(
     """Fit one activity's chain of N Gaussian states.
 
     Deterministic mode is the collapsed-EM solution under the always-advance
-    chain: per-state sample means and diagonal variances of the windows the
-    fixed path assigns.  em mode runs Baum-Welch with self-transitions
-    allowed, initialized from the deterministic fit.
+    chain (every `stay` is 0): per-state sample means and diagonal variances
+    of the windows the fixed path assigns.  em mode runs Baum-Welch with
+    self-transitions allowed, initialized from the deterministic fit.
     """
     path = assign_states(class_windows, n_states)
     members = [class_windows.features[path == k] for k in range(n_states)]
     means = np.array([m.mean(axis=0) for m in members])
     var = np.maximum(np.array([m.var(axis=0) for m in members]), VARIANCE_FLOOR)
     if mode == "deterministic":
-        return ActivityHMM(means, var, np.roll(np.eye(n_states), 1, axis=1))
+        return ActivityHMM(means, var, np.zeros(n_states))
     if mode == "em":
         return _fit_em(class_windows, means, var)
     raise ValueError(f"unknown mode {mode!r}")

@@ -58,10 +58,10 @@ class TrotHyperparams:
     gcg_iters: int = 20
 
     def __post_init__(self):
-        if self.entropy_weight <= 0:
-            raise ValueError("entropy_weight must be > 0")
-        if self.group_weight < 0 or self.order_weight < 0:
-            raise ValueError("regularizer weights must be >= 0")
+        if not 0 < self.entropy_weight < np.inf:
+            raise ValueError("entropy_weight must be finite and > 0")
+        if not (0 <= self.group_weight < np.inf and 0 <= self.order_weight < np.inf):
+            raise ValueError("regularizer weights must be finite and >= 0")
         if self.order_mode not in ("matched", "mismatched"):
             raise ValueError(f"unknown order_mode {self.order_mode!r}")
         if self.n_states < 1:

@@ -34,8 +34,8 @@ class Recording:
     user_id: str = ""
 
     def __post_init__(self):
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        if not 0 < self.sample_rate < np.inf:
+            raise ValueError("sample_rate must be finite and positive")
         if self.channels.ndim != 2 or self.channels.shape[1] != len(CHANNEL_NAMES):
             raise ValueError("channels must be (n_samples, 6)")
         if len(self.labels) != len(self.channels) or len(self.labels) < 1:
@@ -110,6 +110,8 @@ def _window_geometry(recording: Recording, window_seconds: float, overlap_fracti
     in samples, checked against each other and the recording's length."""
     if not 0 <= overlap_fraction < 1:
         raise InvalidOverlapError("invalid overlap: fraction must be in [0, 1)")
+    if not np.isfinite(window_seconds):
+        raise ValueError("window_seconds must be finite")
     w = int(round(window_seconds * recording.sample_rate))
     if w < 2:
         raise InsufficientDataError("insufficient data: window shorter than 2 samples")

@@ -52,6 +52,21 @@ def test_preprocess_recording_without_kept_windows(tmp_path):
     assert rows == []
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--rate", "inf"], "sample_rate must be finite and positive"),
+        (["--rate", "30", "--window-sec", "inf"], "window_seconds must be finite"),
+    ],
+)
+def test_preprocess_rejects_non_finite_geometry(recording_dir, tmp_path, capsys, flags, message):
+    # both once ended in an OverflowError traceback from int(round(inf))
+    assert main(["preprocess", "--input", str(recording_dir), *flags,
+                 "--out", str(tmp_path / "feats")]) == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"error": "ValueError", "message": message}
+
+
 def _adapt_grid_for(*flags):
     argv = ["adapt", "--source", "s.csv", "--target", "t.csv", *flags]
     return _adapt_grid(build_parser().parse_args(argv))
@@ -107,6 +122,10 @@ def test_error_exit_emits_json(tmp_path, capsys):
         (["--method", "ot", "--eta", "1"], "ot does not take group_weight > 0"),  # once ran plain OT
         (["--method", "otda", "--tau", "1"], "otda does not take order_weight > 0"),  # once died in GCG
         (["--states", "0", "--lambda", "0.1"], "n_states must be >= 1"),  # once an IndexError
+        # once ran with eta = 0 and wrote "group_weight": NaN
+        (["--method", "otda", "--lambda", "0.1", "--eta", "nan"],
+         "regularizer weights must be finite and >= 0"),
+        (["--lambda", "inf"], "entropy_weight must be finite and > 0"),  # once only warned
     ],
 )
 def test_adapt_rejects_unusable_setting(tmp_path, capsys, flags, message):

@@ -2,7 +2,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trot.errors import ClassAbsentError, InsufficientDataError, NumericalFailureError
@@ -10,15 +10,16 @@ from trot.hmm import (
     EM_MAX_ITER,
     EM_TOL,
     VARIANCE_FLOOR,
+    ActivityHMM,
     TemporalAtlas,
-    _forward_backward,
     _viterbi,
     assign_dataset_states,
     assign_states,
     build_atlas,
-    contiguous_runs,
     fit_activity_hmm,
+    run_steps,
 )
+from trot.ot_core import _logsumexp
 from trot.preprocess import FeatureDataset
 from trot.synth import SynthSpec, generate_pair
 
@@ -35,6 +36,55 @@ class ListState:
     order: int
 
 
+def reference_runs(window_index):
+    """Positions split into maximal runs of consecutive window indices."""
+    breaks = np.nonzero(np.diff(window_index) != 1)[0] + 1
+    return np.split(np.arange(len(window_index)), breaks)
+
+
+def reference_forward_backward(log_b, log_a):
+    """Per-window log-space forward-backward on a dense (N, N) transition for
+    one sequence starting in state 0: (log-likelihood, state posteriors,
+    expected transition counts)."""
+    t_len, n = log_b.shape
+    log_alpha = np.empty((t_len, n))
+    log_alpha[0] = np.where(np.arange(n) == 0, log_b[0], -np.inf)
+    for t in range(1, t_len):
+        log_alpha[t] = log_b[t] + _logsumexp(log_alpha[t - 1][:, None] + log_a, axis=0)
+    ll = _logsumexp(log_alpha[-1], axis=0)
+    log_beta = np.zeros((t_len, n))
+    for t in range(t_len - 2, -1, -1):
+        log_beta[t] = _logsumexp(log_a + (log_b[t + 1] + log_beta[t + 1])[None, :], axis=1)
+    gamma = np.exp(log_alpha + log_beta - ll)
+    xi = np.zeros((n, n))
+    for t in range(t_len - 1):
+        xi += np.exp(
+            log_alpha[t][:, None] + log_a + (log_b[t + 1] + log_beta[t + 1])[None, :] - ll
+        )
+    return ll, gamma, xi
+
+
+def reference_viterbi(log_b, log_a):
+    """Per-window Viterbi path of one sequence on a dense (N, N) transition."""
+    t_len, n = log_b.shape
+    score = np.where(np.arange(n) == 0, log_b[0], -np.inf)
+    back = np.zeros((t_len, n), dtype=int)
+    for t in range(1, t_len):
+        cand = score[:, None] + log_a
+        back[t] = np.argmax(cand, axis=0)
+        score = log_b[t] + np.max(cand, axis=0)
+    path = np.empty(t_len, dtype=int)
+    path[-1] = int(np.argmax(score))
+    for t in range(t_len - 1, 0, -1):
+        path[t - 1] = back[t, path[t]]
+    return path
+
+
+def dense_transition(stay):
+    """The (N, N) transition matrix of a stay/advance chain."""
+    return np.diag(stay) + np.roll(np.diag(1.0 - stay), 1, axis=1)
+
+
 def reference_log_emissions(features, states):
     means = np.array([s.mean for s in states])
     var = np.array([s.var for s in states])
@@ -43,9 +93,10 @@ def reference_log_emissions(features, states):
 
 
 def reference_fit_em(class_windows, states):
-    """Baum-Welch that updates the state list one state at a time."""
+    """Baum-Welch on the dense transition that updates the state list one
+    state at a time, run by run; returns (states, transition, trace)."""
     n_states = len(states)
-    sequences = [class_windows.features[r] for r in contiguous_runs(class_windows.window_index)]
+    sequences = [class_windows.features[r] for r in reference_runs(class_windows.window_index)]
     support = np.eye(n_states) + np.roll(np.eye(n_states), 1, axis=1) > 0
     trans = support / support.sum(axis=1, keepdims=True)
     states = list(states)
@@ -57,15 +108,16 @@ def reference_fit_em(class_windows, states):
             total_ll = 0.0
             gamma_sum = np.zeros(n_states)
             mean_acc = np.zeros((n_states, class_windows.dim))
-            sq_acc = np.zeros((n_states, class_windows.dim))
             xi_sum = np.zeros((n_states, n_states))
+            gammas = []
             for seq in sequences:
-                ll, gamma, xi = _forward_backward(reference_log_emissions(seq, states), log_a)
+                log_b = reference_log_emissions(seq, states)
+                ll, gamma, xi = reference_forward_backward(log_b, log_a)
                 total_ll += ll
                 gamma_sum += gamma.sum(axis=0)
                 mean_acc += gamma.T @ seq
-                sq_acc += gamma.T @ (seq**2)
                 xi_sum += xi
+                gammas.append(gamma)
             if not np.isfinite(total_ll):
                 raise NumericalFailureError("numerical failure: non-finite likelihood")
             trace.append(total_ll)
@@ -75,16 +127,17 @@ def reference_fit_em(class_windows, states):
                 if gamma_sum[k] < 1e-12:
                     continue
                 mean = mean_acc[k] / gamma_sum[k]
-                var = np.maximum(sq_acc[k] / gamma_sum[k] - mean**2, VARIANCE_FLOOR)
+                sq = sum(g[:, k] @ (seq - mean) ** 2 for g, seq in zip(gammas, sequences))
+                var = np.maximum(sq / gamma_sum[k], VARIANCE_FLOOR)
                 states[k] = replace(states[k], mean=mean, var=var)
             xi_sup = np.where(support, xi_sum, 0.0)
             rows = xi_sup.sum(axis=1, keepdims=True)
             trans = np.where(rows > 0, xi_sup / np.where(rows > 0, rows, 1.0), trans)
-    return states, trans
+    return states, trans, np.array(trace)
 
 
 def reference_assign_states(class_windows, n_states, mode):
-    runs = contiguous_runs(class_windows.window_index)
+    runs = reference_runs(class_windows.window_index)
     if mode == "deterministic":
         if len(class_windows) < n_states:
             raise InsufficientDataError(
@@ -92,11 +145,11 @@ def reference_assign_states(class_windows, n_states, mode):
             )
         path = np.concatenate([np.arange(len(r)) for r in runs]) % n_states
     else:
-        states, trans = reference_fit(class_windows, n_states, mode, class_id=-1)
+        states, trans, _ = reference_fit(class_windows, n_states, mode, class_id=-1)
         with np.errstate(divide="ignore"):
             log_a = np.log(trans)
         path = np.concatenate([
-            _viterbi(reference_log_emissions(class_windows.features[r], states), log_a)
+            reference_viterbi(reference_log_emissions(class_windows.features[r], states), log_a)
             for r in runs
         ])
     if len(np.unique(path)) < n_states:
@@ -105,7 +158,8 @@ def reference_assign_states(class_windows, n_states, mode):
 
 
 def reference_fit(class_windows, n_states, mode, class_id):
-    """(state list, transition) of one activity, one state object per order."""
+    """(state list, transition, trace) of one activity, one state object per
+    order; the deterministic fit has no trace."""
     path = reference_assign_states(class_windows, n_states, "deterministic")
     states = []
     for k in range(n_states):
@@ -113,7 +167,7 @@ def reference_fit(class_windows, n_states, mode, class_id):
         var = np.maximum(members.var(axis=0), VARIANCE_FLOOR)
         states.append(ListState(members.mean(axis=0), var, class_id, k + 1))
     if mode == "deterministic":
-        return states, np.roll(np.eye(n_states), 1, axis=1)
+        return states, np.roll(np.eye(n_states), 1, axis=1), None
     return reference_fit_em(class_windows, states)
 
 
@@ -146,11 +200,12 @@ def reference_assign_dataset_states(dataset, n_states, mode):
 @st.composite
 def labelled_streams(draw):
     """Small labelled streams: 1-4 classes of 1-12 windows each, laid out in
-    blocks, round robin or shuffled, with optional gaps in `window_index`."""
+    blocks, round robin or shuffled, with optional gaps in `window_index`, or
+    in blocks that each hold one long run among one-window runs."""
     n_classes = draw(st.integers(1, 4))
     values = draw(st.lists(st.integers(-3, 9), min_size=n_classes, max_size=n_classes, unique=True))
     sizes = draw(st.lists(st.integers(1, 12), min_size=n_classes, max_size=n_classes))
-    layout = draw(st.sampled_from(["blocks", "round_robin", "shuffled"]))
+    layout = draw(st.sampled_from(["blocks", "round_robin", "shuffled", "long_run"]))
     gap_rate = draw(st.sampled_from([0.0, 0.1, 0.4]))
     dim = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -160,29 +215,65 @@ def labelled_streams(draw):
     elif layout == "shuffled":
         labels = rng.permutation(labels)
     steps = np.where(rng.uniform(size=len(labels)) < gap_rate, rng.integers(2, 5, len(labels)), 1)
+    if layout == "long_run":
+        # in each class block, windows first..first + length - 1 form one run
+        # and every other window is a run of its own
+        length = [draw(st.integers(1, n)) for n in sizes]
+        first = np.repeat([draw(st.integers(0, n - m)) for n, m in zip(sizes, length)], sizes)
+        within = np.concatenate([np.arange(n) for n in sizes]) - first
+        steps = np.where((within > 0) & (within < np.repeat(length, sizes)), 1, 2)
     features = rng.normal(0.0, 1.0, (len(labels), dim)) + 3.0 * labels[:, None]
     return FeatureDataset(features, labels, np.cumsum(steps), "u")
 
 
+# one class in runs of 2, 4 and 1 windows, which the batched passes take
+# longest first
+SHORT_RUN_FIRST = FeatureDataset(
+    np.random.default_rng(5).normal(0.0, 1.0, (7, 2)), np.zeros(7, dtype=int),
+    np.array([0, 1, 3, 4, 5, 6, 8]), "u",
+)
+
+
 def outcome(fn, *args):
-    """The arrays `fn` returns (an atlas as its four fields), or what it raises."""
+    """The arrays `fn` returns (an atlas as its four fields, a chain as its
+    means, variances, dense transition and trace), or what it raises."""
     try:
         result = fn(*args)
     except Exception as exc:  # compared, not swallowed
         return exc
     if isinstance(result, TemporalAtlas):
         return result.means, result.var, result.classes, result.orders
+    if isinstance(result, ActivityHMM):
+        trace = result.log_likelihood_trace
+        return result.means, result.var, dense_transition(result.stay), trace
     return result
 
 
-def assert_same_outcome(got, want):
+def reference_fit_outcome(class_windows, n_states, mode):
+    try:
+        states, trans, trace = reference_fit(class_windows, n_states, mode, class_id=-1)
+    except Exception as exc:  # compared, not swallowed
+        return exc
+    return np.array([s.mean for s in states]), np.array([s.var for s in states]), trans, trace
+
+
+def assert_same_outcome(got, want, exact=True):
+    """Same error, or arrays of the same dtype whose values are equal, or
+    (unless `exact`) floats within 1e-10 and integers equal."""
     if isinstance(got, Exception) or isinstance(want, Exception):
         assert (type(got), str(got)) == (type(want), str(want))
         return
     assert len(got) == len(want)
     for g, w in zip(got, want):
+        if w is None:
+            assert g is None
+            continue
         assert g.dtype == w.dtype
-        assert np.array_equal(g, w)
+        if exact or g.dtype.kind != "f":
+            assert np.array_equal(g, w)
+        else:
+            assert g.shape == w.shape
+            assert np.allclose(g, w, rtol=1e-10, atol=1e-10)
 
 
 class TestAssignStates:
@@ -211,9 +302,9 @@ class TestAssignStates:
         with pytest.raises(InsufficientDataError):
             assign_states(ds, 2)
 
-    def test_contiguous_runs(self):
-        runs = contiguous_runs(np.array([3, 4, 5, 9, 10]))
-        assert [r.tolist() for r in runs] == [[0, 1, 2], [3, 4]]
+    def test_run_steps(self):
+        steps = run_steps(np.array([3, 4, 5, 9, 10, 12]))
+        assert steps.tolist() == [0, 1, 2, 0, 1, 0]
 
 
 class TestFitDeterministic:
@@ -223,14 +314,14 @@ class TestFitDeterministic:
         assert model.means[0][0] == 0.0
         assert model.means[1][0] == 10.0
         assert model.var[0][0] == VARIANCE_FLOOR
-        assert model.transition.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        assert model.stay.tolist() == [0.0, 0.0]
 
     def test_single_state_is_global_gaussian(self, rng):
         x = rng.normal(3.0, 2.0, (50, 2))
         model = fit_activity_hmm(make_dataset(x), 1)
         assert model.means[0] == pytest.approx(x.mean(axis=0))
         assert model.var[0] == pytest.approx(x.var(axis=0))
-        assert model.transition.tolist() == [[1.0]]
+        assert model.stay.tolist() == [0.0]
 
     def test_matches_parity_mle_oracle(self, rng):
         # windows alternate between N(0,1) and N(5,1); the deterministic fit
@@ -246,15 +337,9 @@ class TestFitDeterministic:
         assert abs(model.means[0][0] - 0.0) < 0.3
         assert abs(model.means[1][0] - 5.0) < 0.3
 
-    def test_row_stochastic_on_chain_support(self):
+    def test_chain_always_advances(self):
         model = fit_activity_hmm(make_dataset(np.zeros((8, 1))), 4)
-        a = model.transition
-        assert np.allclose(a.sum(axis=1), 1.0, atol=1e-9)
-        idx = np.arange(4)
-        off_support = np.ones((4, 4), dtype=bool)
-        off_support[idx, idx] = False
-        off_support[idx, (idx + 1) % 4] = False
-        assert np.all(a[off_support] == 0.0)
+        assert model.stay.tolist() == [0.0] * 4
 
 
 class TestFitEM:
@@ -276,15 +361,10 @@ class TestFitEM:
         assert abs(means[0] - 0.0) < 0.5
         assert abs(means[1] - 6.0) < 0.5
 
-    def test_transitions_stay_on_support(self, rng):
+    def test_stay_probabilities_in_unit_interval(self, rng):
         model = fit_activity_hmm(self._noisy_alternating(rng), 3, mode="em")
-        a = model.transition
-        assert np.allclose(a.sum(axis=1), 1.0, atol=1e-9)
-        idx = np.arange(3)
-        allowed = np.zeros((3, 3), dtype=bool)
-        allowed[idx, idx] = True
-        allowed[idx, (idx + 1) % 3] = True
-        assert np.all(a[~allowed] == 0.0)
+        assert model.stay.shape == (3,)
+        assert np.all((model.stay >= 0.0) & (model.stay <= 1.0))
 
     def test_viterbi_assignment_covers_states(self, rng):
         ds = self._noisy_alternating(rng)
@@ -292,6 +372,18 @@ class TestFitEM:
         assert set(path.tolist()) == {0, 1}
         # on well separated data the Viterbi path matches the parity pattern
         assert path.tolist() == [t % 2 for t in range(len(ds))]
+
+    def test_viterbi_ties_go_to_lower_predecessor(self):
+        # at 0.5 both states emit alike and staying costs what advancing does,
+        # so each step ties; as argmax over the dense transition's rows did,
+        # state 0 stays rather than arriving from 1, and state 1 arrives from 0
+        model = ActivityHMM(np.array([[0.0], [1.0]]), np.ones((2, 1)), np.array([0.5, 0.5]))
+        ds = make_dataset([[0.5], [0.5], [0.5], [1.0]])
+        path = _viterbi(ds, model)
+        assert path.tolist() == [0, 0, 0, 1]
+        states = [ListState(m, v, 0, k + 1) for k, (m, v) in enumerate(zip(model.means, model.var))]
+        log_b = reference_log_emissions(ds.features, states)
+        assert np.array_equal(path, reference_viterbi(log_b, np.log(dense_transition(model.stay))))
 
 
 class TestBuildAtlas:
@@ -356,14 +448,27 @@ class TestBuildAtlas:
 
 class TestMatchesListReference:
     @settings(max_examples=60, deadline=None, derandomize=True)
+    @example(dataset=SHORT_RUN_FIRST, n_states=2, mode="em")
+    @example(dataset=SHORT_RUN_FIRST, n_states=3, mode="em")
     @given(dataset=labelled_streams(), n_states=st.integers(1, 4),
            mode=st.sampled_from(["deterministic", "em"]))
-    def test_bit_identical_to_per_state_list(self, dataset, n_states, mode):
-        # the atlas was once a list of per-state objects; the arrays must hold
-        # exactly what that list held, and fail the same way where it failed
+    def test_matches_per_state_list(self, dataset, n_states, mode):
+        # the atlas was once a list of per-state objects fitted with a dense
+        # transition matrix, one window at a time; the arrays must hold what
+        # that list held (exactly in deterministic mode, within rounding in
+        # em mode), give the same state paths and fail the same way
+        exact = mode == "deterministic"
+        for c in np.unique(dataset.labels):
+            subset = dataset.subset(np.nonzero(dataset.labels == c)[0])
+            assert_same_outcome(
+                outcome(fit_activity_hmm, subset, n_states, mode),
+                reference_fit_outcome(subset, n_states, mode),
+                exact,
+            )
         assert_same_outcome(
             outcome(build_atlas, dataset, n_states, mode),
             outcome(reference_build_atlas, dataset, n_states, mode),
+            exact,
         )
         assert_same_outcome(
             outcome(assign_dataset_states, dataset, n_states, mode),

@@ -448,6 +448,16 @@ class TestHyperparams:
         with pytest.raises(ValueError):
             TrotHyperparams(order_mode="sideways")
 
+    @pytest.mark.parametrize(
+        "weights",
+        [{"entropy_weight": np.inf}, {"entropy_weight": np.nan},
+         {"group_weight": np.nan}, {"order_weight": np.inf}],
+    )
+    def test_weights_finite(self, weights):
+        # nan <= 0 is false, so NaN and inf weights once passed
+        with pytest.raises(ValueError, match="finite"):
+            TrotHyperparams(**weights)
+
     @pytest.mark.parametrize("n_states", [0, -1])
     def test_n_states_positive(self, n_states):
         # 0 once died in pairwise_sq_dists, -1 in numpy's array constructor
