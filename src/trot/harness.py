@@ -79,6 +79,7 @@ class AdaptReport:
     validation_accuracy: float | None = None
     test_accuracy: float | None = None
     objective_trace: np.ndarray | None = None
+    converged: bool | None = None  # the selected solve's flag; None for na/td/coral
     timing: float = 0.0
     predictions: dict | None = None
     error: str | None = None
@@ -96,6 +97,7 @@ class AdaptReport:
             "objective_trace": None
             if self.objective_trace is None
             else [float(v) for v in self.objective_trace],
+            "converged": self.converged,
             "predictions": self.predictions,
         }
         if include_timing:
@@ -160,7 +162,10 @@ def _subsample(dataset: FeatureDataset, rng: np.random.Generator) -> FeatureData
 
 
 def _solver(method: str, source: FeatureDataset, validation: FeatureDataset, seed: int):
-    """One task's `hyper -> (1-NN training set, objective trace)`.
+    """One task's `hyper -> (1-NN training set, objective trace, converged)`.
+
+    `converged` is the transport solve's flag for ot/otda/trot and None for
+    the methods that solve none.
 
     ot/otda prepare their subsamples, cost and marginals here, once per task.
     trot prepares its pseudo labels once per task and its atlases, cost, mask
@@ -168,9 +173,9 @@ def _solver(method: str, source: FeatureDataset, validation: FeatureDataset, see
     raises is not cached, so every grid point that needs it fails alike.
     """
     if method in ("na", "td"):
-        return lambda hyper: (source if method == "na" else validation, None)
+        return lambda hyper: (source if method == "na" else validation, None, None)
     if method == "coral":
-        return lambda hyper: (coral_align(source, validation), None)
+        return lambda hyper: (coral_align(source, validation), None, None)
     if method in ("ot", "otda"):
         rng = np.random.default_rng(seed)
         src_sub, tgt_sub = _subsample(source, rng), _subsample(validation, rng)
@@ -184,7 +189,7 @@ def _solver(method: str, source: FeatureDataset, validation: FeatureDataset, see
             else:
                 coupling, trace = gcg_solve(a, b, cost, hyper, src_sub.labels)
             transported = barycentric_project(coupling.values, tgt_sub.features)
-            return replace(src_sub, features=transported), trace
+            return replace(src_sub, features=transported), trace, coupling.converged
 
         return solve_ot
 
@@ -203,7 +208,7 @@ def _solver(method: str, source: FeatureDataset, validation: FeatureDataset, see
             src_atlas.weights, tgt_atlas.weights, cost, hyper, src_atlas.classes, same_order
         )
         mapped = barycentric_map(coupling, src_atlas, tgt_atlas)
-        return transform_samples(source, assignment, mapped), trace
+        return transform_samples(source, assignment, mapped), trace, coupling.converged
 
     return solve_trot
 
@@ -235,13 +240,13 @@ def run_task(
     failures = []
     for hyper in grid:
         try:
-            train, trace = solve(hyper)
+            train, trace, converged = solve(hyper)
             val_acc = _accuracy(knn1_classify(train, validation), validation.labels)
         except TrotError as exc:
             failures.append(str(exc))
             continue
         if best is None or val_acc > best[0]:
-            best = (val_acc, hyper, train, trace)
+            best = (val_acc, hyper, train, trace, converged)
     if best is None:
         return AdaptReport(
             spec,
@@ -249,7 +254,7 @@ def run_task(
             timing=time.perf_counter() - start,
         )
 
-    val_acc, hyper, train, trace = best
+    val_acc, hyper, train, trace, converged = best
     predicted = knn1_classify(train, test)
     return AdaptReport(
         task=spec,
@@ -257,6 +262,7 @@ def run_task(
         validation_accuracy=val_acc,
         test_accuracy=_accuracy(predicted, test.labels),
         objective_trace=trace,
+        converged=converged,
         timing=time.perf_counter() - start,
         predictions={
             "window_index": [int(i) for i in test.window_index],

@@ -18,8 +18,12 @@ trace non-increasing.
 Sinkhorn runs in scaling form on a stabilized kernel (Schmitzer 2019,
 "Stabilized sparse scaling algorithms for entropy regularized transport
 problems"): the iterates of log-domain Sinkhorn, with matrix-vector products
-instead of an `exp` per iteration; `sinkhorn` describes its two stabilizing
-paths.
+instead of an `exp` per iteration.  At small entropy weights those iterates
+converge slowly, so a problem whose smaller side has at most
+`NEWTON_MAX_WIDTH` states gets `WARM_ITERS` of them and, if it has not
+converged by then, is finished by damped Newton steps on the Sinkhorn dual
+(Brauer, Clason, Lorenz & Wirth 2017, "A Sinkhorn-Newton method for
+entropic optimal transport"); `sinkhorn` describes the dispatch.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ ENTROPY_GRAD_FLOOR = -745.0  # log of the smallest positive double
 SCALING_MIN, SCALING_MAX = 1e-150, 1e150  # sinkhorn scalings kept in range
 _TINY = np.finfo(float).tiny  # a column mass below this has underflowed
 GCG_TOL = 1e-7  # relative objective decrease below which gcg_solve stops
+WARM_ITERS = 50  # scaling-form iterations before a Newton finish takes over
+NEWTON_MAX_WIDTH = 128  # largest min(k_s, k_t) finished by Newton steps
 
 
 @dataclass
@@ -150,10 +156,21 @@ def temporal_reg(
 
 
 def _check_marginals(a: np.ndarray, b: np.ndarray):
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("marginals must be finite")
     if np.any(a <= 0) or np.any(b <= 0):
         raise ValueError("marginals must be strictly positive")
     if abs(a.sum() - 1.0) > 1e-9 or abs(b.sum() - 1.0) > 1e-9:
         raise ValueError("marginals must each sum to 1")
+
+
+def _checked_cost(cost, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    cost = np.asarray(cost, dtype=float)
+    if cost.shape != (len(a), len(b)):
+        raise DimensionMismatchError(
+            f"dimension mismatch: cost {cost.shape} vs marginals ({len(a)}, {len(b)})"
+        )
+    return cost
 
 
 def _violation(plan: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -170,39 +187,70 @@ def sinkhorn(
     max_iters: int = 10_000,
     tol: float = 1e-9,
 ) -> Coupling:
-    """Entropic transport plan via stabilized Sinkhorn iterations.
+    """Entropic transport plan: stabilized Sinkhorn, finished by Newton steps.
 
-    Each iteration fits the column marginals, then the row marginals; the
-    iterates are those of log-domain Sinkhorn from zero duals.  The first
-    iteration runs in the log domain and yields duals u, v and the kernel
-    K = exp(-cost / entropy_weight + u + v), the current plan.  Later
-    iterations keep the plan as su * K * sv and update the scalings by
-    sv = b / (su @ K), then su = a / (K @ sv), so rows are exact after each
-    iteration and the stopping check reads the column sums, which the next
-    column update reuses.  Two paths keep this stable:
-
-    - a scaling outside [SCALING_MIN, SCALING_MAX] is absorbed into u, v
-      and K is rebuilt from them (one `exp`);
-    - when a column mass su @ K underflows, the iteration runs in the log
-      domain from the absorbed duals.
+    Every solve starts with `_scaling_sinkhorn`, the iterates of log-domain
+    Sinkhorn in scaling form.  Problems with min(k_s, k_t) above
+    `NEWTON_MAX_WIDTH` run it for the whole budget: there a Newton step
+    costs more than the scaling iterations it saves.  Smaller ones run it
+    for at most `WARM_ITERS` iterations, so a solve that converges within
+    them returns what the scaling form alone returns; any other is finished
+    by `_newton_sinkhorn`, and each Newton step counts as one iteration.
+    The plan is exp(-cost / entropy_weight + u + v) at the final duals u, v.
 
     Iterates until the worst marginal deviation falls below `tol` or the
     budget runs out (then the achieved violation is reported with
-    `converged=False`).
+    `converged=False`).  A cost of the wrong shape raises
+    `DimensionMismatchError`; a NaN or -inf cost, or a row or column with
+    no finite cost, raises `NumericalFailureError` before any iteration.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     _check_marginals(a, b)
     if entropy_weight <= 0:
         raise ValueError("entropy_weight must be > 0")
-    log_k = -np.asarray(cost, dtype=float) / entropy_weight
+    log_k = -_checked_cost(cost, a, b) / entropy_weight
+    finite = np.isfinite(log_k)
+    if not finite.all():
+        if np.isnan(log_k).any() or np.isposinf(log_k).any():
+            raise NumericalFailureError("numerical failure: NaN or -inf in sinkhorn cost")
+        if not (finite.any(axis=1).all() and finite.any(axis=0).all()):
+            raise NumericalFailureError("numerical failure: a cost row or column has no finite entry")
+    newton = min(len(a), len(b)) <= NEWTON_MAX_WIDTH
+    budget = min(max_iters, WARM_ITERS) if newton else max_iters
+    u, v, it, done = _scaling_sinkhorn(log_k, a, b, budget, tol)
+    if newton and not done:
+        u, v, it = _newton_sinkhorn(log_k, a, b, u, v, it, max_iters, tol)
+    plan = np.exp(log_k + u[:, None] + v[None, :])
+    violation = _violation(plan, a, b)
+    if not np.all(np.isfinite(plan)):
+        raise NumericalFailureError("numerical failure: non-finite transport plan")
+    return Coupling(plan, violation, it, violation <= tol)
+
+
+def _scaling_sinkhorn(log_k, a, b, max_iters, tol):
+    """Log-domain Sinkhorn iterates in scaling form; returns (u, v, iterations, converged).
+
+    Each iteration fits the column marginals, then the row marginals.  The
+    first iteration runs in the log domain and yields duals u, v and the
+    kernel K = exp(log_k + u + v), the current plan.  Later iterations keep
+    the plan as su * K * sv and update the scalings by sv = b / (su @ K),
+    then su = a / (K @ sv), so rows are exact after each iteration and the
+    stopping check reads the column sums, which the next column update
+    reuses.  Two paths keep this stable (Schmitzer 2019):
+
+    - a scaling outside [SCALING_MIN, SCALING_MAX] is absorbed into u, v
+      and K is rebuilt from them (one `exp`);
+    - when a column mass su @ K underflows, the iteration runs in the log
+      domain from the absorbed duals.
+    """
     log_a, log_b = np.log(a), np.log(b)
     u = np.zeros(len(a))
     v = np.zeros(len(b))
     ones_a, ones_b = np.ones(len(a)), np.ones(len(b))
     su, sv = ones_a, ones_b  # the plan is su[:, None] * kernel * sv
     check_every = 1 if log_k.size <= 10_000 else 10
-    it = 0
+    it, converged = 0, False
     with np.errstate(divide="ignore"):
         for it in range(1, max_iters + 1):
             log_domain = it == 1
@@ -230,12 +278,74 @@ def sinkhorn(
                 if not np.isfinite(violation):
                     raise NumericalFailureError("numerical failure: NaN in sinkhorn iterates")
                 if violation <= tol:
+                    converged = True
                     break
-    _, _, plan = _absorb(log_k, u, v, su, sv)
-    violation = _violation(plan, a, b)
-    if not np.all(np.isfinite(plan)):
-        raise NumericalFailureError("numerical failure: non-finite transport plan")
-    return Coupling(plan, violation, it, violation <= tol)
+        return u + np.log(su), v + np.log(sv), it, converged
+
+
+def _newton_sinkhorn(log_k, a, b, u, v, it, max_iters, tol):
+    """Damped Newton steps on the Sinkhorn dual from (u, v), up to `max_iters` in all.
+
+    The dual objective is f(u, v) = sum P - a.u - b.v with
+    P = exp(log_k + u + v) (Brauer, Clason, Lorenz & Wirth 2017, "A
+    Sinkhorn-Newton method for entropic optimal transport").  Its gradient
+    is the marginal residual (P1 - a, P'1 - b) and its Hessian
+    [[diag(P1), P], [P', diag(P'1)]]; one dual is pinned to fix the gauge
+    u + c, v - c, and the Hessian is shifted by the current violation,
+    which keeps near-permutation plans (rows of P that are almost one-hot)
+    solvable.  An Armijo search (sufficient decrease 1e-4, up to 30
+    halvings, else no step) backtracks on f, whose change along a step is
+    summed as P * expm1 so it does not cancel against a.u + b.v.  A
+    log-domain Sinkhorn sweep follows each step: where the plan has
+    underflowed, Newton moves a dual by O(1) per step and a sweep moves it
+    in one go.  Returns (u, v, iterations).
+    """
+    log_a, log_b = np.log(a), np.log(b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        plan = np.exp(log_k + u[:, None] + v[None, :])
+        while it < max_iters:
+            rows, cols = plan.sum(axis=1), plan.sum(axis=0)
+            row_res, col_res = rows - a, cols - b
+            violation = max(np.abs(row_res).max(), np.abs(col_res).max())
+            if not np.isfinite(violation):
+                raise NumericalFailureError("numerical failure: NaN in sinkhorn iterates")
+            if violation <= tol:
+                break
+            it += 1
+            du, dv = _newton_direction(plan, rows, cols, row_res, col_res, violation)
+            slope, along = row_res @ du + col_res @ dv, du[:, None] + dv[None, :]
+            t = 1.0
+            for _ in range(30):
+                decrease = (plan * np.expm1(t * along)).sum() - t * (a @ du + b @ dv)
+                if decrease <= 1e-4 * t * slope:
+                    u, v = u + t * du, v + t * dv
+                    break
+                t *= 0.5
+            v = log_b - _logsumexp(log_k + u[:, None], axis=0)
+            u = log_a - _logsumexp(log_k + v[None, :], axis=1)
+            plan = np.exp(log_k + u[:, None] + v[None, :])
+    return u, v, it
+
+
+def _newton_direction(plan, rows, cols, row_res, col_res, shift):
+    """(du, dv) solving the shifted Newton system, the last dual of the shorter side pinned.
+
+    For k_s >= k_t, with the last v pinned, Q = plan[:, :-1] and
+    D_r = diag(rows) + shift, du = -D_r^-1 (row_res + Q dv) and dv solves
+    the Schur complement system
+    (diag(cols) + shift - Q' D_r^-1 Q) dv = Q' D_r^-1 row_res - col_res,
+    so the dense solve is min(k_s, k_t) - 1 wide.  k_s < k_t is solved
+    transposed.
+    """
+    if plan.shape[0] < plan.shape[1]:
+        dv, du = _newton_direction(plan.T, cols, rows, col_res, row_res, shift)
+        return du, dv
+    q = plan[:, :-1]
+    scaled = q / (rows + shift)[:, None]
+    schur = -(scaled.T @ q)
+    schur.flat[:: len(schur) + 1] += cols[:-1] + shift
+    dv = np.append(np.linalg.solve(schur, scaled.T @ row_res - col_res[:-1]), 0.0)
+    return -(row_res + plan @ dv) / (rows + shift), dv
 
 
 def _in_range(scaling: np.ndarray) -> bool:
@@ -282,8 +392,8 @@ def gcg_solve(
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    cost = np.asarray(cost, dtype=float)
     _check_marginals(a, b)
+    cost = _checked_cost(cost, a, b)
     eta, tau = hyper.group_weight, hyper.order_weight
     if eta > 0 and classes is None:
         raise ValueError("group_weight > 0 requires class groups")

@@ -50,11 +50,11 @@ def tiny_pair(seed=5):
 def reference_fit_method(method, hyper, source, validation, seed):
     """One grid point computed from scratch, with nothing shared between points."""
     if method == "na":
-        return source, None
+        return source, None, None
     if method == "td":
-        return validation, None
+        return validation, None, None
     if method == "coral":
-        return coral_align(source, validation), None
+        return coral_align(source, validation), None, None
     if method in ("ot", "otda"):
         rng = np.random.default_rng(seed)
         src_sub = harness._subsample(source, rng)
@@ -68,7 +68,7 @@ def reference_fit_method(method, hyper, source, validation, seed):
         else:
             coupling, trace = gcg_solve(a, b, cost, hyper, src_sub.labels)
         transported = barycentric_project(coupling.values, tgt_sub.features)
-        return replace(src_sub, features=transported), trace
+        return replace(src_sub, features=transported), trace, coupling.converged
     src_atlas = build_atlas(source, hyper.n_states)
     pseudo_labels = knn1_classify(source, validation)
     tgt_atlas = build_atlas(validation.with_labels(pseudo_labels), hyper.n_states)
@@ -79,7 +79,7 @@ def reference_fit_method(method, hyper, source, validation, seed):
     )
     mapped = barycentric_map(coupling, src_atlas, tgt_atlas)
     assignment = assign_dataset_states(source, hyper.n_states)
-    return transform_samples(source, assignment, mapped), trace
+    return transform_samples(source, assignment, mapped), trace, coupling.converged
 
 
 def mixed_grid(method, points):
@@ -150,6 +150,28 @@ class TestRunTask:
         assert report.test_accuracy >= 0.95
         assert report.chosen_hyper.order_weight > 0
         assert np.all(np.diff(report.objective_trace) <= 1e-12)
+
+    @pytest.mark.parametrize(
+        "method, grid, converged",
+        [
+            ("na", None, None),
+            ("coral", None, None),
+            ("td", None, None),
+            ("ot", (TrotHyperparams(entropy_weight=0.1),), True),
+            ("otda", (TrotHyperparams(entropy_weight=0.1, group_weight=0.1),), True),
+            ("trot", TROT_GRID, True),
+            ("ot", (TrotHyperparams(entropy_weight=1e-4, sinkhorn_iters=3),), False),
+            ("otda", (TrotHyperparams(entropy_weight=1e-4, group_weight=0.1, sinkhorn_iters=3),), False),
+        ],
+    )
+    def test_report_carries_selected_solve_converged(self, method, grid, converged):
+        # an unconverged transport solve once gave a report like a converged one
+        source, target = tiny_pair()
+        spec = TaskSpec("t" if method == "td" else "s", "t", method, grid)
+        report = run_task(spec, source, target)
+        assert report.error is None
+        assert report.converged is converged
+        assert report.to_dict()["converged"] is converged
 
     def test_same_user_rejected_except_td(self):
         with pytest.raises(ValueError):
