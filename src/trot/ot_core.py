@@ -43,7 +43,7 @@ SCALING_MIN, SCALING_MAX = 1e-150, 1e150  # sinkhorn scalings kept in range
 _TINY = np.finfo(float).tiny  # a column mass below this has underflowed
 GCG_TOL = 1e-7  # relative objective decrease below which gcg_solve stops
 WARM_ITERS = 50  # scaling-form iterations before a Newton finish takes over
-NEWTON_MAX_WIDTH = 128  # largest min(k_s, k_t) finished by Newton steps
+NEWTON_MAX_WIDTH = 64  # largest min(k_s, k_t) finished by Newton steps
 
 
 @dataclass
@@ -191,8 +191,9 @@ def sinkhorn(
 
     Every solve starts with `_scaling_sinkhorn`, the iterates of log-domain
     Sinkhorn in scaling form.  Problems with min(k_s, k_t) above
-    `NEWTON_MAX_WIDTH` run it for the whole budget: there a Newton step
-    costs more than the scaling iterations it saves.  Smaller ones run it
+    `NEWTON_MAX_WIDTH` (window-level couplings) run it for the whole
+    budget: there a Newton step costs about 30 scaling iterations and the
+    number of steps moves with the data.  Smaller ones (atlases) run it
     for at most `WARM_ITERS` iterations, so a solve that converges within
     them returns what the scaling form alone returns; any other is finished
     by `_newton_sinkhorn`, and each Newton step counts as one iteration.
