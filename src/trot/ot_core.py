@@ -18,12 +18,13 @@ trace non-increasing.
 Sinkhorn runs in scaling form on a stabilized kernel (Schmitzer 2019,
 "Stabilized sparse scaling algorithms for entropy regularized transport
 problems"): the iterates of log-domain Sinkhorn, with matrix-vector products
-instead of an `exp` per iteration.  At small entropy weights those iterates
-converge slowly, so a problem whose smaller side has at most
-`NEWTON_MAX_WIDTH` states gets `WARM_ITERS` of them and, if it has not
-converged by then, is finished by damped Newton steps on the Sinkhorn dual
+instead of an `exp` per iteration.  Those iterates approach a small marginal
+violation quickly and then, at small entropy weights, crawl, so every solve
+hands over at violation `HANDOVER_TOL` (atlas-sized ones after at most
+`WARM_ITERS` iterations) to damped Newton steps on the Sinkhorn dual
 (Brauer, Clason, Lorenz & Wirth 2017, "A Sinkhorn-Newton method for
-entropic optimal transport"); `sinkhorn` describes the dispatch.
+entropic optimal transport"), which finish it in a few steps; `sinkhorn`
+states the rule.
 """
 
 from __future__ import annotations
@@ -42,8 +43,10 @@ ENTROPY_GRAD_FLOOR = -745.0  # log of the smallest positive double
 SCALING_MIN, SCALING_MAX = 1e-150, 1e150  # sinkhorn scalings kept in range
 _TINY = np.finfo(float).tiny  # a column mass below this has underflowed
 GCG_TOL = 1e-7  # relative objective decrease below which gcg_solve stops
-WARM_ITERS = 50  # scaling-form iterations before a Newton finish takes over
-NEWTON_MAX_WIDTH = 64  # largest min(k_s, k_t) finished by Newton steps
+HANDOVER_TOL = 1e-6  # violation at which the scaling form hands over to Newton steps
+WARM_ITERS = 50  # scaling-form iterations at most before an atlas-sized solve hands over
+WARM_MAX_WIDTH = 64  # largest min(k_s, k_t) whose scaling form stops at WARM_ITERS
+NEWTON_SHIFT = 1e-3  # Newton's Hessian shift per unit of marginal violation
 
 
 @dataclass
@@ -72,6 +75,8 @@ class TrotHyperparams:
             raise ValueError(f"unknown order_mode {self.order_mode!r}")
         if self.n_states < 1:
             raise ValueError("n_states must be >= 1")
+        if self.sinkhorn_iters < 1 or self.gcg_iters < 1:
+            raise ValueError("sinkhorn_iters and gcg_iters must be >= 1")
 
     def to_dict(self) -> dict:
         return {
@@ -189,19 +194,20 @@ def sinkhorn(
 ) -> Coupling:
     """Entropic transport plan: stabilized Sinkhorn, finished by Newton steps.
 
-    Every solve starts with `_scaling_sinkhorn`, the iterates of log-domain
-    Sinkhorn in scaling form.  Problems with min(k_s, k_t) above
-    `NEWTON_MAX_WIDTH` (window-level couplings) run it for the whole
-    budget: there a Newton step costs about 30 scaling iterations and the
-    number of steps moves with the data.  Smaller ones (atlases) run it
-    for at most `WARM_ITERS` iterations, so a solve that converges within
-    them returns what the scaling form alone returns; any other is finished
-    by `_newton_sinkhorn`, and each Newton step counts as one iteration.
-    The plan is exp(-cost / entropy_weight + u + v) at the final duals u, v.
+    One rule for every shape: `_scaling_sinkhorn`, the iterates of
+    log-domain Sinkhorn in scaling form, runs until the marginal violation
+    reaches max(tol, `HANDOVER_TOL`); when min(k_s, k_t) is at most
+    `WARM_MAX_WIDTH` (atlases) it stops after `WARM_ITERS` iterations at
+    the latest.  A solve not yet at `tol` is then finished by
+    `_newton_sinkhorn`, each Newton step counting as one iteration and
+    solving a dense system min(k_s, k_t) - 1 wide.  A solve that reaches
+    `tol` within the scaling form returns what the scaling form alone
+    returns.  The plan is exp(-cost / entropy_weight + u + v) at the final
+    duals u, v.
 
     Iterates until the worst marginal deviation falls below `tol` or the
-    budget runs out (then the achieved violation is reported with
-    `converged=False`).  A cost of the wrong shape raises
+    `max_iters` budget (>= 1) runs out (then the achieved violation is
+    reported with `converged=False`).  A cost of the wrong shape raises
     `DimensionMismatchError`; a NaN or -inf cost, or a row or column with
     no finite cost, raises `NumericalFailureError` before any iteration.
     """
@@ -210,6 +216,8 @@ def sinkhorn(
     _check_marginals(a, b)
     if entropy_weight <= 0:
         raise ValueError("entropy_weight must be > 0")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     log_k = -_checked_cost(cost, a, b) / entropy_weight
     finite = np.isfinite(log_k)
     if not finite.all():
@@ -217,10 +225,10 @@ def sinkhorn(
             raise NumericalFailureError("numerical failure: NaN or -inf in sinkhorn cost")
         if not (finite.any(axis=1).all() and finite.any(axis=0).all()):
             raise NumericalFailureError("numerical failure: a cost row or column has no finite entry")
-    newton = min(len(a), len(b)) <= NEWTON_MAX_WIDTH
-    budget = min(max_iters, WARM_ITERS) if newton else max_iters
-    u, v, it, done = _scaling_sinkhorn(log_k, a, b, budget, tol)
-    if newton and not done:
+    warm = min(len(a), len(b)) <= WARM_MAX_WIDTH
+    budget = min(max_iters, WARM_ITERS) if warm else max_iters
+    u, v, it, violation = _scaling_sinkhorn(log_k, a, b, budget, max(tol, HANDOVER_TOL))
+    if violation > tol and it < max_iters:
         u, v, it = _newton_sinkhorn(log_k, a, b, u, v, it, max_iters, tol)
     plan = np.exp(log_k + u[:, None] + v[None, :])
     violation = _violation(plan, a, b)
@@ -230,7 +238,7 @@ def sinkhorn(
 
 
 def _scaling_sinkhorn(log_k, a, b, max_iters, tol):
-    """Log-domain Sinkhorn iterates in scaling form; returns (u, v, iterations, converged).
+    """Log-domain Sinkhorn iterates in scaling form; returns (u, v, iterations, violation).
 
     Each iteration fits the column marginals, then the row marginals.  The
     first iteration runs in the log domain and yields duals u, v and the
@@ -251,7 +259,7 @@ def _scaling_sinkhorn(log_k, a, b, max_iters, tol):
     ones_a, ones_b = np.ones(len(a)), np.ones(len(b))
     su, sv = ones_a, ones_b  # the plan is su[:, None] * kernel * sv
     check_every = 1 if log_k.size <= 10_000 else 10
-    it, converged = 0, False
+    it, violation = 0, np.inf
     with np.errstate(divide="ignore"):
         for it in range(1, max_iters + 1):
             log_domain = it == 1
@@ -279,9 +287,8 @@ def _scaling_sinkhorn(log_k, a, b, max_iters, tol):
                 if not np.isfinite(violation):
                     raise NumericalFailureError("numerical failure: NaN in sinkhorn iterates")
                 if violation <= tol:
-                    converged = True
                     break
-        return u + np.log(su), v + np.log(sv), it, converged
+        return u + np.log(su), v + np.log(sv), it, violation
 
 
 def _newton_sinkhorn(log_k, a, b, u, v, it, max_iters, tol):
@@ -292,14 +299,16 @@ def _newton_sinkhorn(log_k, a, b, u, v, it, max_iters, tol):
     Sinkhorn-Newton method for entropic optimal transport").  Its gradient
     is the marginal residual (P1 - a, P'1 - b) and its Hessian
     [[diag(P1), P], [P', diag(P'1)]]; one dual is pinned to fix the gauge
-    u + c, v - c, and the Hessian is shifted by the current violation,
-    which keeps near-permutation plans (rows of P that are almost one-hot)
-    solvable.  An Armijo search (sufficient decrease 1e-4, up to 30
-    halvings, else no step) backtracks on f, whose change along a step is
-    summed as P * expm1 so it does not cancel against a.u + b.v.  A
-    log-domain Sinkhorn sweep follows each step: where the plan has
-    underflowed, Newton moves a dual by O(1) per step and a sweep moves it
-    in one go.  Returns (u, v, iterations).
+    u + c, v - c, and the Hessian is shifted by `NEWTON_SHIFT` times the
+    current violation, which keeps near-permutation plans (rows of P that
+    are almost one-hot) solvable; a shift of the whole violation swamps the
+    Hessian's small eigenvalues at small entropy weights and turns the
+    steps into slow gradient-like ones.  An Armijo search (sufficient
+    decrease 1e-4, up to 30 halvings, else no step) backtracks on f, whose
+    change along a step is summed as P * expm1 so it does not cancel
+    against a.u + b.v.  A log-domain Sinkhorn sweep follows each step:
+    where the plan has underflowed, Newton moves a dual by O(1) per step
+    and a sweep moves it in one go.  Returns (u, v, iterations).
     """
     log_a, log_b = np.log(a), np.log(b)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -313,7 +322,8 @@ def _newton_sinkhorn(log_k, a, b, u, v, it, max_iters, tol):
             if violation <= tol:
                 break
             it += 1
-            du, dv = _newton_direction(plan, rows, cols, row_res, col_res, violation)
+            shift = NEWTON_SHIFT * violation
+            du, dv = _newton_direction(plan, rows, cols, row_res, col_res, shift)
             slope, along = row_res @ du + col_res @ dv, du[:, None] + dv[None, :]
             t = 1.0
             for _ in range(30):
@@ -385,7 +395,9 @@ def gcg_solve(
     the entropic subproblem on the shifted cost, then backtracks (Armijo,
     sufficient decrease 1e-4, factor 0.5, up to 30 halvings) along the
     feasible segment.  Stops when the relative objective decrease drops
-    below `GCG_TOL` or no descent direction remains.
+    below `GCG_TOL` or no descent direction remains.  Without penalties
+    (both weights 0) every subproblem has the same cost, so its Sinkhorn
+    solve is done once and reused.
 
     Returns the final coupling and the objective value per accepted iterate.
     The coupling is flagged `converged` only when every Sinkhorn direction
@@ -423,9 +435,11 @@ def gcg_solve(
     worst_violation = _violation(gamma, a, b)
     converged = True
 
+    direction = None
     for _ in range(hyper.gcg_iters):
         _, pen_sub = penalties(gamma)
-        direction = sinkhorn(a, b, cost + pen_sub, hyper.entropy_weight, hyper.sinkhorn_iters)
+        if direction is None or eta > 0 or tau > 0:  # penalty-free: one cost, one solve
+            direction = sinkhorn(a, b, cost + pen_sub, hyper.entropy_weight, hyper.sinkhorn_iters)
         worst_violation = max(worst_violation, direction.marginal_violation)
         converged = converged and direction.converged
         delta = direction.values - gamma

@@ -1,4 +1,5 @@
 from itertools import permutations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from trot.errors import DimensionMismatchError, NumericalFailureError
 from trot.harness import knn1_classify, temporal_split
 from trot.hmm import build_atlas
 from trot.ot_core import (
-    NEWTON_MAX_WIDTH,
+    HANDOVER_TOL,
     WARM_ITERS,
+    WARM_MAX_WIDTH,
     Coupling,
     TrotHyperparams,
     cost_matrix,
@@ -221,15 +223,17 @@ def _reference_logsumexp(m, axis):
         return np.squeeze(mx, axis) + np.log(np.exp(m - mx).sum(axis=axis))
 
 
-def assert_same_iterates(a, b, cost, entropy_weight, max_iters=10_000):
+def assert_same_iterates(a, b, cost, entropy_weight, max_iters=10_000, tol=HANDOVER_TOL):
     """`sinkhorn` against the reference: same counts and flags, same plan.
 
-    The reference rounds each exponent log_k + u + v at the magnitude of
+    At the default `tol` = `HANDOVER_TOL` no solve hands over to Newton
+    steps before `tol`, so the scaling form alone runs.  The reference
+    rounds each exponent log_k + u + v at the magnitude of
     log_k = -cost / entropy_weight, so its plan carries a relative error of
     about eps * max|log_k|; the plans may differ by that much on top of 1e-12.
     """
-    got = sinkhorn(a, b, cost, entropy_weight, max_iters)
-    ref = reference_sinkhorn(a, b, cost, entropy_weight, max_iters)
+    got = sinkhorn(a, b, cost, entropy_weight, max_iters, tol)
+    ref = reference_sinkhorn(a, b, cost, entropy_weight, max_iters, tol)
     atol = 1e-12 + np.finfo(float).eps * np.abs(cost).max() / entropy_weight
     assert got.iterations == ref.iterations
     assert got.converged == ref.converged
@@ -251,6 +255,12 @@ def count_calls(monkeypatch, name):
     return calls
 
 
+def spy_on_newton():
+    """Patch `_newton_sinkhorn` with a mock that records its calls and runs it;
+    `call_args.args[5]` is the iteration count it was handed."""
+    return mock.patch.object(ot_core, "_newton_sinkhorn", wraps=ot_core._newton_sinkhorn)
+
+
 def random_problem(shape, seed):
     """Marginals, cost and entropy weight drawn from the seed.
 
@@ -266,8 +276,9 @@ def random_problem(shape, seed):
 
 
 class TestSinkhornMatchesLogDomain:
-    """Where only the scaling form runs, `sinkhorn` gives log-domain iterates:
-    within the warm budget, and on window-sized problems for the whole budget."""
+    """Up to the handover to Newton steps `sinkhorn` gives log-domain
+    iterates: at tol >= `HANDOVER_TOL` that is within the warm budget on
+    atlas-sized problems and for the whole budget on window-sized ones."""
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(
@@ -281,11 +292,29 @@ class TestSinkhornMatchesLogDomain:
     @pytest.mark.parametrize("seed", [1, 3, 7, 8])
     def test_window_sized_problems(self, seed):
         # seeds whose solves run past the warm budget: 300 iterations
-        # unconverged (1, 8), 270 and 180 iterations converged (3, 7)
+        # unconverged (1, 8), 150 and 110 iterations converged (3, 7)
         shape = (140, 135)
-        assert min(shape) > NEWTON_MAX_WIDTH
+        assert min(shape) > WARM_MAX_WIDTH
         got = assert_same_iterates(*random_problem(shape, seed), 300)
         assert got.iterations > WARM_ITERS
+
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_hands_over_where_the_reference_reaches_handover_tol(self, seed):
+        # the same window-sized problems at the default tol: the scaling form
+        # stops where log-domain Sinkhorn reaches HANDOVER_TOL, then Newton
+        # steps take the violation down to 1e-9
+        a, b, cost, entropy_weight = random_problem((140, 135), seed)
+        with spy_on_newton() as newton:
+            got = sinkhorn(a, b, cost, entropy_weight)
+        ref = reference_sinkhorn(a, b, cost, entropy_weight, tol=HANDOVER_TOL)
+        log_k, _, _, u, v, it = newton.call_args.args[:6]
+        plan = np.exp(log_k + u[:, None] + v[None, :])
+        assert newton.call_count == 1
+        assert it == ref.iterations
+        atol = 1e-12 + np.finfo(float).eps * np.abs(cost).max() / entropy_weight
+        assert np.abs(plan - ref.values).max() <= atol
+        assert got.converged and got.marginal_violation <= 1e-9
+        assert it < got.iterations < it + 20
 
     def test_scaling_out_of_range_is_absorbed(self, monkeypatch):
         # a window-sized block copy of a 3x3 cost: at entropy weight 1e-3 the
@@ -303,12 +332,15 @@ class TestSinkhornMatchesLogDomain:
 
     def test_column_mass_underflow_runs_in_log_domain(self, monkeypatch):
         # column 0 carries 1e-200 and sits in row 0, which row scaling shrinks
-        # by another 1e-200: its column mass underflows to 0 at iteration 2
-        cost = np.array([[0.0, 0.0, 0.0], [10.0, 1.0, 1.5], [10.0, 1.2, 1.0]])
+        # by another 1e-200: its column mass underflows to 0 at iteration 2;
+        # the near-tie between columns 1 and 2 keeps the violation above
+        # HANDOVER_TOL until iteration 14
+        cost = np.array([[0.0, 0.0, 0.0], [10.0, 1.0, 1.02], [10.0, 1.01, 1.0]])
         marginal = np.array([1e-200, 0.5, 0.5])
         log_steps = count_calls(monkeypatch, "_logsumexp")
         coupling = assert_same_iterates(marginal, marginal, cost, 0.01, 50)
-        assert len(log_steps) > 2
+        assert coupling.iterations > 2
+        assert len(log_steps) == 4  # the first and the second iteration
         assert np.all(np.isfinite(coupling.values))
 
     def test_nan_cost_raises(self):
@@ -326,28 +358,46 @@ class TestSinkhornMatchesLogDomain:
             sinkhorn(np.full(2, 0.5), np.full(2, 0.5), np.asarray(cost), 0.1)
 
 
-def criterion_7_atlases(n_states):
-    """Marginals, cost and masks of trot's atlases on the acceptance-criterion-7
-    pair (task seed aside, the default-grid preparation of `harness._solver`)."""
+def scaled_pair(windows_per_class, seed):
+    """The acceptance-criterion-7 construction (seed 11 gives that pair) as
+    `run_task` sees it: the max-abs scaled source and the validation half."""
     spec = SynthSpec(
-        n_classes=4, n_states=4, windows_per_class=200, feature_dim=2, noise_std=0.1, seed=11
+        n_classes=4, n_states=4, windows_per_class=windows_per_class, feature_dim=2,
+        noise_std=0.1, seed=seed,
     )
     spec.user_shift = adversarial_user_shift(spec)
     source, target, _ = generate_pair(spec)
     scaler = fit_maxabs(source)
-    source = maxabs_fit_apply(source, scaler)
     validation, _ = temporal_split(maxabs_fit_apply(target, scaler))
+    return maxabs_fit_apply(source, scaler), validation
+
+
+def criterion_7_atlases(n_states):
+    """Marginals, cost and masks of trot's atlases on the acceptance-criterion-7
+    pair (task seed aside, the default-grid preparation of `harness._solver`)."""
+    source, validation = scaled_pair(200, 11)
     src = build_atlas(source, n_states)
     tgt = build_atlas(validation.with_labels(knn1_classify(source, validation)), n_states)
     return src.weights, tgt.weights, cost_matrix(src, tgt), src.classes, same_order_mask(src, tgt)
 
 
-class TestNewtonFinish:
-    """Problems the warm budget does not solve are finished by Newton steps."""
+def window_ot_problem(seed):
+    """Marginals and cost of `window_ot`'s ot/otda solves: 50 windows per
+    class, 200 source by 100 validation windows."""
+    source, validation = scaled_pair(50, seed)
+    cost = pairwise_sq_dists(source.features, validation.features)
+    return np.full(len(cost), 1 / len(cost)), np.full(cost.shape[1], 1 / cost.shape[1]), cost
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+
+class TestNewtonFinish:
+    """Solves not yet at `tol` when the scaling form hands over are finished by Newton steps."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
-        shape=st.tuples(st.integers(2, 20), st.integers(2, 20)),
+        shape=st.one_of(
+            st.tuples(st.integers(2, 20), st.integers(2, 20)),
+            st.tuples(st.integers(WARM_MAX_WIDTH + 1, 220), st.integers(WARM_MAX_WIDTH + 1, 150)),
+        ),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_long_run_reference(self, shape, seed):
@@ -359,13 +409,39 @@ class TestNewtonFinish:
         alpha = 10 ** rng.uniform(-0.3, 1)
         a = rng.dirichlet(np.full(shape[0], alpha))
         b = rng.dirichlet(np.full(shape[1], alpha))
-        got = sinkhorn(a, b, cost, entropy_weight)
-        assume(got.iterations > WARM_ITERS)
+        with spy_on_newton() as newton:
+            got = sinkhorn(a, b, cost, entropy_weight)
+        assume(newton.called and got.iterations > newton.call_args.args[5])
         ref = reference_sinkhorn(a, b, cost, entropy_weight, 5_000, tol=1e-12, check_every=10)
         assume(ref.converged)
         assert got.converged
         assert got.marginal_violation <= 1e-9
         assert np.abs(got.values - ref.values).max() <= 1e-8
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_window_ot_solves_converge(self, seed):
+        # the scaling form alone ran these into the 10,000-iteration cap,
+        # unconverged at violations 6e-9 to 1e-7; a Hessian shift of the
+        # whole violation took 13, 7 and 10 Newton steps from the handover
+        with spy_on_newton() as newton:
+            c = sinkhorn(*window_ot_problem(seed), 0.01)
+        assert c.values.shape == (200, 100)
+        assert c.converged
+        assert c.marginal_violation <= 1e-9
+        assert c.iterations < 1_000
+        assert c.iterations - newton.call_args.args[5] <= 4
+
+    @pytest.mark.parametrize(
+        "seed, shape", [(5047, (9, 4)), (5061, (8, 6)), (5078, (3, 3)), (5130, (19, 2))]
+    )
+    def test_small_entropy_weights_converge_in_few_steps(self, seed, shape):
+        # cost.max() / entropy_weight of 2e4 to 1.2e5: with a Hessian shift of
+        # the whole violation these once spent 10,000 iterations unconverged
+        a, b, cost, entropy_weight = random_problem(shape, seed)
+        assert cost.max() / entropy_weight > 1e4
+        c = sinkhorn(a, b, cost, entropy_weight)
+        assert c.converged
+        assert c.iterations < 300
 
     def test_near_permutation_needs_the_shift(self):
         # a criterion-2 problem (n = 3, entropy weight 1e-3): without the
@@ -434,6 +510,10 @@ class TestSinkhorn:
                 sinkhorn(a, b, cost, 0.1)
             with pytest.raises(DimensionMismatchError):
                 gcg_solve(a, b, cost, TrotHyperparams())
+
+    def test_rejects_empty_budget(self):
+        with pytest.raises(ValueError, match="max_iters"):
+            sinkhorn(np.full(2, 0.5), np.full(2, 0.5), np.zeros((2, 2)), 0.1, max_iters=0)
 
     def test_unconverged_is_flagged(self, rng):
         c = sinkhorn(np.full(8, 1 / 8), np.full(8, 1 / 8), rng.uniform(size=(8, 8)), 1e-4,
@@ -525,6 +605,27 @@ class TestGcg:
         assert len(trace) > 1
         assert coup.converged
 
+    def test_penalty_free_solves_its_direction_once(self, monkeypatch):
+        # on window_ot's otda construction GCG takes two directions; without
+        # penalties both are the same solve.  A zero-valued order penalty
+        # (every pair same-order, so no mismatched mass to norm) forces the
+        # re-solve with the same arithmetic.
+        a, b, cost = window_ot_problem(1)
+        hyper = TrotHyperparams(entropy_weight=0.01)
+        forced_hyper = TrotHyperparams(entropy_weight=0.01, order_weight=1.0)
+        calls = count_calls(monkeypatch, "sinkhorn")
+        once, once_trace = gcg_solve(a, b, cost, hyper)
+        assert len(calls) == 1
+        resolved, resolved_trace = gcg_solve(
+            a, b, cost, forced_hyper, same_order=np.ones(cost.shape, dtype=bool)
+        )
+        assert len(calls) == 1 + 2
+        assert np.array_equal(once.values, resolved.values)
+        assert np.array_equal(once_trace, resolved_trace)
+        assert (once.iterations, once.converged, once.marginal_violation) == (
+            resolved.iterations, resolved.converged, resolved.marginal_violation
+        )
+
     def test_requires_groups_for_weights(self):
         a = b = np.full(2, 0.5)
         with pytest.raises(ValueError):
@@ -577,6 +678,15 @@ class TestHyperparams:
         # nan <= 0 is false, so NaN and inf weights once passed
         with pytest.raises(ValueError, match="finite"):
             TrotHyperparams(**weights)
+
+    @pytest.mark.parametrize(
+        "budget", [{"sinkhorn_iters": 0}, {"sinkhorn_iters": -5}, {"gcg_iters": 0}, {"gcg_iters": -1}]
+    )
+    def test_iteration_budgets_positive(self, budget):
+        # gcg_iters=0 once returned outer(a, b) flagged converged, and
+        # sinkhorn_iters=0 the raw kernel, both without solving anything
+        with pytest.raises(ValueError, match="must be >= 1"):
+            TrotHyperparams(**budget)
 
     @pytest.mark.parametrize("n_states", [0, -1])
     def test_n_states_positive(self, n_states):
