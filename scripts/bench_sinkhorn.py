@@ -9,13 +9,13 @@ adversarial-shift pairs (4 classes, 4 states, 2 features, noise 0.1):
 - `windows` 500x400: the ot/otda window cost at 200 windows per class,
   subsampled as `harness._subsample` does with task seed 3.
 
-`benchmark` problems use the data seeds of `perfbench` runs (the
+`benchmark` problems use data seeds 1-5 of `perfbench` runs (the
 `trot_adapt` and `window_ot` pairs); `criterion7` problems use data seed 11,
 the pair of acceptance criterion 7.  Each problem is solved by
 `trot.ot_core.sinkhorn` at entropy weights 0.01, 0.1 and 1 with the
 pipeline's budget (10,000 iterations, tolerance 1e-9).  A spy on
 `_newton_sinkhorn` splits the reported iterations into scaling-form
-iterations and Newton steps; `seconds` is the fastest of `--repeats` solves.
+iterations and Newton steps; `seconds` is the fastest of `REPEATS` solves.
 The records go into a JSON file under `--label`, next to the records of
 other labels already there, so two source trees can be measured on one
 machine and kept side by side:
@@ -43,6 +43,8 @@ import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 ENTROPY_WEIGHTS = (0.01, 0.1, 1.0)
+BENCHMARK_SEEDS = (1, 2, 3, 4, 5)
+REPEATS = 3
 TASK_SEED = 3  # the CLI seed of the benchmark's adapt calls
 CRITERION_7_SEED = 11
 
@@ -83,17 +85,17 @@ def window_problem(windows_per_class, seed):
     return a, b, pairwise_sq_dists(src.features, tgt.features)
 
 
-def problems(benchmark_seeds):
+def problems():
     """(construction, kind, data seed, (a, b, cost)) for every problem."""
-    for seed in benchmark_seeds:
+    for seed in BENCHMARK_SEEDS:
         yield "benchmark", "atlas", seed, atlas_problem(200, seed)
     yield "criterion7", "atlas", CRITERION_7_SEED, atlas_problem(200, CRITERION_7_SEED)
-    for seed in benchmark_seeds:
+    for seed in BENCHMARK_SEEDS:
         yield "benchmark", "windows", seed, window_problem(50, seed)
     yield "criterion7", "windows", CRITERION_7_SEED, window_problem(200, CRITERION_7_SEED)
 
 
-def solve(a, b, cost, entropy_weight, repeats):
+def solve(a, b, cost, entropy_weight):
     """One record: scaling iterations, Newton steps, seconds, converged, violation."""
     from trot import ot_core
 
@@ -107,7 +109,7 @@ def solve(a, b, cost, entropy_weight, repeats):
     ot_core._newton_sinkhorn = spy
     try:
         best = float("inf")
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             handed.clear()
             start = time.perf_counter()
             coupling = ot_core.sinkhorn(a, b, cost, entropy_weight)
@@ -130,18 +132,15 @@ def main(argv=None):
                         help="directory holding the trot package to measure")
     parser.add_argument("--label", required=True, help="key of this run in the output file")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_sinkhorn.json")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5],
-                        help="data seeds of the benchmark constructions")
-    parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
     records = []
-    for construction, kind, seed, (a, b, cost) in problems(args.seeds):
+    for construction, kind, seed, (a, b, cost) in problems():
         for entropy_weight in ENTROPY_WEIGHTS:
             record = {
                 "shape": f"{cost.shape[0]}x{cost.shape[1]}", "kind": kind,
                 "construction": construction, "seed": seed, "entropy_weight": entropy_weight,
-                **solve(a, b, cost, entropy_weight, args.repeats),
+                **solve(a, b, cost, entropy_weight),
             }
             records.append(record)
             print(json.dumps(record), flush=True)

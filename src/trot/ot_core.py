@@ -18,13 +18,11 @@ trace non-increasing.
 Sinkhorn runs in scaling form on a stabilized kernel (Schmitzer 2019,
 "Stabilized sparse scaling algorithms for entropy regularized transport
 problems"): the iterates of log-domain Sinkhorn, with matrix-vector products
-instead of an `exp` per iteration.  Those iterates approach a small marginal
-violation quickly and then, at small entropy weights, crawl, so every solve
-hands over at violation `HANDOVER_TOL` (atlas-sized ones after at most
-`WARM_ITERS` iterations) to damped Newton steps on the Sinkhorn dual
-(Brauer, Clason, Lorenz & Wirth 2017, "A Sinkhorn-Newton method for
-entropic optimal transport"), which finish it in a few steps; `sinkhorn`
-states the rule.
+instead of an `exp` per iteration.  At small entropy weights those iterates
+soon crawl, so a solve whose violation stops dropping fast hands over to
+damped Newton steps on the Sinkhorn dual (Brauer, Clason, Lorenz & Wirth
+2017, "A Sinkhorn-Newton method for entropic optimal transport"), which
+finish it in a few steps; `sinkhorn` states the rule.
 """
 
 from __future__ import annotations
@@ -43,9 +41,6 @@ ENTROPY_GRAD_FLOOR = -745.0  # log of the smallest positive double
 SCALING_MIN, SCALING_MAX = 1e-150, 1e150  # sinkhorn scalings kept in range
 _TINY = np.finfo(float).tiny  # a column mass below this has underflowed
 GCG_TOL = 1e-7  # relative objective decrease below which gcg_solve stops
-HANDOVER_TOL = 1e-6  # violation at which the scaling form hands over to Newton steps
-WARM_ITERS = 50  # scaling-form iterations at most before an atlas-sized solve hands over
-WARM_MAX_WIDTH = 64  # largest min(k_s, k_t) whose scaling form stops at WARM_ITERS
 NEWTON_SHIFT = 1e-3  # Newton's Hessian shift per unit of marginal violation
 
 
@@ -196,14 +191,14 @@ def sinkhorn(
 
     One rule for every shape: `_scaling_sinkhorn`, the iterates of
     log-domain Sinkhorn in scaling form, runs until the marginal violation
-    reaches max(tol, `HANDOVER_TOL`); when min(k_s, k_t) is at most
-    `WARM_MAX_WIDTH` (atlases) it stops after `WARM_ITERS` iterations at
-    the latest.  A solve not yet at `tol` is then finished by
-    `_newton_sinkhorn`, each Newton step counting as one iteration and
-    solving a dense system min(k_s, k_t) - 1 wide.  A solve that reaches
-    `tol` within the scaling form returns what the scaling form alone
-    returns.  The plan is exp(-cost / entropy_weight + u + v) at the final
-    duals u, v.
+    reaches `tol` or crawls: the drop since its last check, continued
+    geometrically, would take more than min(k_s, k_t) further iterations
+    to reach `tol`, about what one or two Newton steps cost.
+    `_newton_sinkhorn` then finishes the solve, each Newton step counting
+    as one iteration and solving a dense system min(k_s, k_t) - 1 wide.
+    A solve that reaches `tol` within the scaling form returns what the
+    scaling form alone returns.  The plan is
+    exp(-cost / entropy_weight + u + v) at the final duals u, v.
 
     Iterates until the worst marginal deviation falls below `tol` or the
     `max_iters` budget (>= 1) runs out (then the achieved violation is
@@ -225,9 +220,7 @@ def sinkhorn(
             raise NumericalFailureError("numerical failure: NaN or -inf in sinkhorn cost")
         if not (finite.any(axis=1).all() and finite.any(axis=0).all()):
             raise NumericalFailureError("numerical failure: a cost row or column has no finite entry")
-    warm = min(len(a), len(b)) <= WARM_MAX_WIDTH
-    budget = min(max_iters, WARM_ITERS) if warm else max_iters
-    u, v, it, violation = _scaling_sinkhorn(log_k, a, b, budget, max(tol, HANDOVER_TOL))
+    u, v, it, violation = _scaling_sinkhorn(log_k, a, b, max_iters, tol)
     if violation > tol and it < max_iters:
         u, v, it = _newton_sinkhorn(log_k, a, b, u, v, it, max_iters, tol)
     plan = np.exp(log_k + u[:, None] + v[None, :])
@@ -239,6 +232,9 @@ def sinkhorn(
 
 def _scaling_sinkhorn(log_k, a, b, max_iters, tol):
     """Log-domain Sinkhorn iterates in scaling form; returns (u, v, iterations, violation).
+
+    Stops at violation `tol`, or at the first check where the violation
+    crawls (as `sinkhorn` defines it) to hand over to Newton steps.
 
     Each iteration fits the column marginals, then the row marginals.  The
     first iteration runs in the log domain and yields duals u, v and the
@@ -260,6 +256,8 @@ def _scaling_sinkhorn(log_k, a, b, max_iters, tol):
     su, sv = ones_a, ones_b  # the plan is su[:, None] * kernel * sv
     check_every = 1 if log_k.size <= 10_000 else 10
     it, violation = 0, np.inf
+    # crawling: violation / previous > (tol / violation) ** crawl
+    crawl = check_every / min(log_k.shape)
     with np.errstate(divide="ignore"):
         for it in range(1, max_iters + 1):
             log_domain = it == 1
@@ -283,10 +281,10 @@ def _scaling_sinkhorn(log_k, a, b, max_iters, tol):
             col_mass = su @ kernel
             if it % check_every == 0 or it == max_iters:
                 # rows are exact after the row update, so only columns can miss
-                violation = float(np.abs(sv * col_mass - b).max())
+                previous, violation = violation, float(np.abs(sv * col_mass - b).max())
                 if not np.isfinite(violation):
                     raise NumericalFailureError("numerical failure: NaN in sinkhorn iterates")
-                if violation <= tol:
+                if violation <= tol or violation > previous * (tol / violation) ** crawl:
                     break
         return u + np.log(su), v + np.log(sv), it, violation
 

@@ -11,9 +11,6 @@ from trot.errors import DimensionMismatchError, NumericalFailureError
 from trot.harness import knn1_classify, temporal_split
 from trot.hmm import build_atlas
 from trot.ot_core import (
-    HANDOVER_TOL,
-    WARM_ITERS,
-    WARM_MAX_WIDTH,
     Coupling,
     TrotHyperparams,
     cost_matrix,
@@ -190,10 +187,13 @@ class TestPenaltiesMatchIndexLists:
             assert np.abs(got[1] - want[1]).max() <= 1e-12
 
 
-def reference_sinkhorn(a, b, cost, entropy_weight, max_iters=10_000, tol=1e-9, check_every=None):
+def reference_sinkhorn(
+    a, b, cost, entropy_weight, max_iters=10_000, tol=1e-9, check_every=None, trace=None
+):
     """Plain log-domain Sinkhorn, two log-sum-exps and a full plan per
     checked iteration: the reference that `sinkhorn`'s iterates and plans
-    are compared against.  By default it checks on `sinkhorn`'s cadence."""
+    are compared against.  By default it checks on `sinkhorn`'s cadence;
+    the violation at each check is appended to `trace` if given."""
     log_k = -cost / entropy_weight
     log_a, log_b = np.log(a), np.log(b)
     u = np.zeros(len(a))
@@ -209,6 +209,8 @@ def reference_sinkhorn(a, b, cost, entropy_weight, max_iters=10_000, tol=1e-9, c
             violation = _violation(plan, a, b)
             if not np.isfinite(violation):
                 raise NumericalFailureError("numerical failure: NaN in sinkhorn iterates")
+            if trace is not None:
+                trace.append(violation)
             if violation <= tol:
                 break
     plan = np.exp(log_k + u[:, None] + v[None, :])
@@ -223,24 +225,33 @@ def _reference_logsumexp(m, axis):
         return np.squeeze(mx, axis) + np.log(np.exp(m - mx).sum(axis=axis))
 
 
-def assert_same_iterates(a, b, cost, entropy_weight, max_iters=10_000, tol=HANDOVER_TOL):
-    """`sinkhorn` against the reference: same counts and flags, same plan.
+def assert_same_iterates(a, b, cost, entropy_weight, max_iters=10_000, tol=1e-9):
+    """`sinkhorn` against the reference up to the handover to Newton steps.
 
-    At the default `tol` = `HANDOVER_TOL` no solve hands over to Newton
-    steps before `tol`, so the scaling form alone runs.  The reference
+    A solve the scaling form finishes has the reference's counts, flags and
+    plan; a solve it hands over hands over after as many iterations as the
+    reference runs unconverged, with the reference's plan.  The reference
     rounds each exponent log_k + u + v at the magnitude of
     log_k = -cost / entropy_weight, so its plan carries a relative error of
-    about eps * max|log_k|; the plans may differ by that much on top of 1e-12.
+    about eps * max|log_k|; the plans may differ by that much on top of
+    1e-12.  Returns the coupling and the number of scaling-form iterations.
     """
-    got = sinkhorn(a, b, cost, entropy_weight, max_iters, tol)
-    ref = reference_sinkhorn(a, b, cost, entropy_weight, max_iters, tol)
+    with spy_on_newton() as newton:
+        got = sinkhorn(a, b, cost, entropy_weight, max_iters, tol)
     atol = 1e-12 + np.finfo(float).eps * np.abs(cost).max() / entropy_weight
+    if newton.called:
+        log_k, _, _, u, v, handover = newton.call_args.args[:6]
+        ref = reference_sinkhorn(a, b, cost, entropy_weight, handover, tol)
+        assert ref.iterations == handover and not ref.converged
+        assert np.abs(np.exp(log_k + u[:, None] + v[None, :]) - ref.values).max() <= atol
+        return got, handover
+    ref = reference_sinkhorn(a, b, cost, entropy_weight, max_iters, tol)
     assert got.iterations == ref.iterations
     assert got.converged == ref.converged
     assert np.abs(got.values - ref.values).max() <= atol
     # a violation is a row or column sum, so it carries up to max(shape) plan errors
     assert abs(got.marginal_violation - ref.marginal_violation) <= max(cost.shape) * atol
-    return got
+    return got, got.iterations
 
 
 def count_calls(monkeypatch, name):
@@ -275,71 +286,99 @@ def random_problem(shape, seed):
     return rng.dirichlet(np.full(shape[0], alpha)), rng.dirichlet(np.full(shape[1], alpha)), cost, entropy_weight
 
 
+def crawl_checks(a, b, cost, entropy_weight, tol=1e-9):
+    """Replay `sinkhorn`'s handover rule on the reference's violations.
+
+    Returns, per check up to the handover, whether the drop in violation
+    since the previous check, continued geometrically, needs more than
+    min(shape) iterations to reach `tol`; whether `sinkhorn` handed over;
+    and how far, relatively, the closest call was from the threshold.
+    """
+    with spy_on_newton() as newton:
+        got = sinkhorn(a, b, cost, entropy_weight, tol=tol)
+    handover = newton.call_args.args[5] if newton.called else got.iterations
+    check_every = 1 if cost.size <= 10_000 else 10
+    violations = []
+    reference_sinkhorn(a, b, cost, entropy_weight, handover, 0.0, trace=violations)
+    previous, crawled, margin = np.inf, [], np.inf
+    for violation in violations:
+        margin = min(margin, abs(violation / tol - 1))
+        crawls = False
+        if violation > tol:
+            drop = violation / previous
+            needed = (tol / violation) ** (check_every / min(cost.shape))
+            margin = min(margin, abs(drop / needed - 1))
+            crawls = drop > needed
+        crawled.append(crawls)
+        previous = violation
+    return crawled, newton.called, margin
+
+
 class TestSinkhornMatchesLogDomain:
     """Up to the handover to Newton steps `sinkhorn` gives log-domain
-    iterates: at tol >= `HANDOVER_TOL` that is within the warm budget on
-    atlas-sized problems and for the whole budget on window-sized ones."""
+    iterates, and it hands over at the first check where they crawl."""
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(
         shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
-        max_iters=st.sampled_from([1, 2, 3, WARM_ITERS]),
+        max_iters=st.sampled_from([1, 2, 3, 50]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_random_problems(self, shape, max_iters, seed):
         assert_same_iterates(*random_problem(shape, seed), max_iters)
 
-    @pytest.mark.parametrize("seed", [1, 3, 7, 8])
-    def test_window_sized_problems(self, seed):
-        # seeds whose solves run past the warm budget: 300 iterations
-        # unconverged (1, 8), 150 and 110 iterations converged (3, 7)
-        shape = (140, 135)
-        assert min(shape) > WARM_MAX_WIDTH
-        got = assert_same_iterates(*random_problem(shape, seed), 300)
-        assert got.iterations > WARM_ITERS
+    @pytest.mark.parametrize("seed, scaling_iters", [(2, 50), (8, 20), (24, 110), (35, 90)])
+    def test_window_sized_problems(self, seed, scaling_iters):
+        # checked every 10 iterations; seed 8 hands over at its second check,
+        # the others converge in the scaling form
+        _, got = assert_same_iterates(*random_problem((140, 135), seed))
+        assert got == scaling_iters
 
-    @pytest.mark.parametrize("seed", [3, 7])
-    def test_hands_over_where_the_reference_reaches_handover_tol(self, seed):
-        # the same window-sized problems at the default tol: the scaling form
-        # stops where log-domain Sinkhorn reaches HANDOVER_TOL, then Newton
-        # steps take the violation down to 1e-9
-        a, b, cost, entropy_weight = random_problem((140, 135), seed)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(shape=st.tuples(st.integers(2, 40), st.integers(2, 40)), seed=st.integers(0, 2**32 - 1))
+    def test_hands_over_at_the_first_crawling_check(self, shape, seed):
+        crawled, handed_over, margin = crawl_checks(*random_problem(shape, seed))
+        assume(margin > 1e-6)  # clear of rounding
+        assert crawled[-1] == handed_over
+        assert not any(crawled[:-1])
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_window_ot_hands_over_where_it_crawls(self, seed):
+        crawled, handed_over, margin = crawl_checks(*window_ot_problem(seed), 0.01)
+        assert margin > 1e-6
+        assert crawled == [False, True] and handed_over
+
+    @pytest.mark.parametrize("entropy_weight", [0.1, 1.0])
+    def test_fast_solves_finish_in_scaling_form(self, entropy_weight):
+        # 60 and 10 iterations: a Newton step on 200x100 costs about 90
         with spy_on_newton() as newton:
-            got = sinkhorn(a, b, cost, entropy_weight)
-        ref = reference_sinkhorn(a, b, cost, entropy_weight, tol=HANDOVER_TOL)
-        log_k, _, _, u, v, it = newton.call_args.args[:6]
-        plan = np.exp(log_k + u[:, None] + v[None, :])
-        assert newton.call_count == 1
-        assert it == ref.iterations
-        atol = 1e-12 + np.finfo(float).eps * np.abs(cost).max() / entropy_weight
-        assert np.abs(plan - ref.values).max() <= atol
-        assert got.converged and got.marginal_violation <= 1e-9
-        assert it < got.iterations < it + 20
+            c = sinkhorn(*window_ot_problem(1), entropy_weight)
+        assert not newton.called
+        assert c.converged and c.iterations <= 60
 
     def test_scaling_out_of_range_is_absorbed(self, monkeypatch):
-        # a window-sized block copy of a 3x3 cost: at entropy weight 1e-3 the
-        # scalings drift past 1e150 within 600 iterations while every column
-        # keeps a normal mass
+        # a window-sized block copy of a 3x3 cost at entropy weight 1e-3; the
+        # crawl rule hands it over after 20 iterations, before its scalings
+        # leave [1e-150, 1e150], so the range is narrowed to [1e-3, 1e3]
         cost = np.kron(
             [[4.0, 1.3, 0.7], [3.5, 3.2, 2.7], [3.8, 3.7, 3.0]], np.ones((43, 43))
         )
         uniform = np.full(len(cost), 1 / len(cost))
+        monkeypatch.setattr(ot_core, "SCALING_MIN", 1e-3)
+        monkeypatch.setattr(ot_core, "SCALING_MAX", 1e3)
         absorbs = count_calls(monkeypatch, "_absorb")
         log_steps = count_calls(monkeypatch, "_logsumexp")
-        assert_same_iterates(uniform, uniform, cost, 1e-3, 600)
+        assert_same_iterates(uniform, uniform, cost, 1e-3, 20)
         assert len(log_steps) == 2  # the first iteration only
         assert len(absorbs) >= 1
 
     def test_column_mass_underflow_runs_in_log_domain(self, monkeypatch):
         # column 0 carries 1e-200 and sits in row 0, which row scaling shrinks
-        # by another 1e-200: its column mass underflows to 0 at iteration 2;
-        # the near-tie between columns 1 and 2 keeps the violation above
-        # HANDOVER_TOL until iteration 14
-        cost = np.array([[0.0, 0.0, 0.0], [10.0, 1.0, 1.02], [10.0, 1.01, 1.0]])
+        # by another 1e-200: its column mass underflows to 0 at iteration 2
+        cost = np.array([[0.0, 0.0, 0.0], [10.0, 1.0, 1.5], [10.0, 1.2, 1.0]])
         marginal = np.array([1e-200, 0.5, 0.5])
         log_steps = count_calls(monkeypatch, "_logsumexp")
-        coupling = assert_same_iterates(marginal, marginal, cost, 0.01, 50)
-        assert coupling.iterations > 2
+        coupling, _ = assert_same_iterates(marginal, marginal, cost, 0.01, 2)
         assert len(log_steps) == 4  # the first and the second iteration
         assert np.all(np.isfinite(coupling.values))
 
@@ -396,7 +435,7 @@ class TestNewtonFinish:
     @given(
         shape=st.one_of(
             st.tuples(st.integers(2, 20), st.integers(2, 20)),
-            st.tuples(st.integers(WARM_MAX_WIDTH + 1, 220), st.integers(WARM_MAX_WIDTH + 1, 150)),
+            st.tuples(st.integers(65, 220), st.integers(65, 150)),
         ),
         seed=st.integers(0, 2**32 - 1),
     )
@@ -421,15 +460,27 @@ class TestNewtonFinish:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_window_ot_solves_converge(self, seed):
         # the scaling form alone ran these into the 10,000-iteration cap,
-        # unconverged at violations 6e-9 to 1e-7; a Hessian shift of the
-        # whole violation took 13, 7 and 10 Newton steps from the handover
+        # unconverged at violations 6e-9 to 1e-7; they crawl from iteration
+        # 20 on and take 10 Newton steps from there
         with spy_on_newton() as newton:
             c = sinkhorn(*window_ot_problem(seed), 0.01)
         assert c.values.shape == (200, 100)
         assert c.converged
         assert c.marginal_violation <= 1e-9
         assert c.iterations < 1_000
-        assert c.iterations - newton.call_args.args[5] <= 4
+        assert newton.call_args.args[5] == 20
+        assert c.iterations - 20 <= 12
+
+    @pytest.mark.parametrize("entropy_weight, newton_steps", [(1e-3, 40), (1e-4, 120)])
+    def test_window_ot_at_small_entropy_weights(self, entropy_weight, newton_steps):
+        # the scaling form alone stopped at the cap at violation 1e-6 (1e-3)
+        # and 9e-4 (1e-4); Newton steps from iteration 20 take 25-27 and
+        # 72-96 steps on seeds 1-5.  The plan is exp(log_k + u + v), so
+        # converged marginals make it the entropic optimum.
+        c = sinkhorn(*window_ot_problem(1), entropy_weight)
+        assert c.converged
+        assert c.marginal_violation <= 1e-9
+        assert c.iterations <= 20 + newton_steps
 
     @pytest.mark.parametrize(
         "seed, shape", [(5047, (9, 4)), (5061, (8, 6)), (5078, (3, 3)), (5130, (19, 2))]
@@ -448,8 +499,9 @@ class TestNewtonFinish:
         # diagonal shift its Newton system is singular
         cost = np.array([[0.704, 0.723, 0.732], [0.517, 0.177, 0.878], [0.88, 0.71, 0.933]])
         uniform = np.full(3, 1 / 3)
-        c = sinkhorn(uniform, uniform, cost, 1e-3)
-        assert c.iterations > WARM_ITERS
+        with spy_on_newton() as newton:
+            c = sinkhorn(uniform, uniform, cost, 1e-3)
+        assert newton.called
         assert c.converged
         exact = exact_ot_cost(uniform, uniform, cost)
         assert (c.values * cost).sum() == pytest.approx(exact, rel=0.01)
@@ -458,8 +510,9 @@ class TestNewtonFinish:
         # at entropy weight 5e-4, Newton steps alone were still at violation
         # 0.05 after 2000 iterations: where the plan has underflowed a step
         # moves a dual by O(1)
-        c = sinkhorn(*random_problem((8, 8), 32), max_iters=2000)
-        assert c.iterations > WARM_ITERS
+        with spy_on_newton() as newton:
+            c = sinkhorn(*random_problem((8, 8), 32), max_iters=2000)
+        assert newton.called
         assert c.converged
 
     @pytest.mark.parametrize("n_states", [2, 4])
