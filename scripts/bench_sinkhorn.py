@@ -14,8 +14,9 @@ adversarial-shift pairs (4 classes, 4 states, 2 features, noise 0.1):
 the pair of acceptance criterion 7.  Each problem is solved by
 `trot.ot_core.sinkhorn` at entropy weights 0.01, 0.1 and 1 with the
 pipeline's budget (10,000 iterations, tolerance 1e-9).  A spy on
-`_newton_sinkhorn` splits the reported iterations into scaling-form
-iterations and Newton steps; `seconds` is the fastest of `REPEATS` solves.
+`_newton_sinkhorn`, which every solve calls (the measured tree must call
+it so too), splits the reported iterations into scaling-form iterations
+and Newton steps; `seconds` is the fastest of `REPEATS` solves.
 The records go into a JSON file under `--label`, next to the records of
 other labels already there, so two source trees can be measured on one
 machine and kept side by side:
@@ -116,7 +117,7 @@ def solve(a, b, cost, entropy_weight):
             best = min(best, time.perf_counter() - start)
     finally:
         ot_core._newton_sinkhorn = newton
-    scaling = handed[0] if handed else coupling.iterations
+    scaling = handed[0]
     return {
         "scaling_iters": scaling,
         "newton_steps": coupling.iterations - scaling,

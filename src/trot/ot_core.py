@@ -15,14 +15,15 @@ subproblem stays an entropic transport problem solved by Sinkhorn
 iterations; an Armijo backtracking search on the full objective keeps the
 trace non-increasing.
 
-Sinkhorn runs in scaling form on a stabilized kernel (Schmitzer 2019,
-"Stabilized sparse scaling algorithms for entropy regularized transport
-problems"): the iterates of log-domain Sinkhorn, with matrix-vector products
-instead of an `exp` per iteration.  At small entropy weights those iterates
-soon crawl, so a solve whose violation stops dropping fast hands over to
+Sinkhorn runs in two stages.  The first is the scaling form on a
+stabilized kernel (Schmitzer 2019, "Stabilized sparse scaling algorithms
+for entropy regularized transport problems"): the iterates of log-domain
+Sinkhorn, with matrix-vector products instead of an `exp` per iteration.
+It stops when its violation stops dropping fast, as it soon does at small
+entropy weights, or before a scaling would leave its range.  The second,
 damped Newton steps on the Sinkhorn dual (Brauer, Clason, Lorenz & Wirth
-2017, "A Sinkhorn-Newton method for entropic optimal transport"), which
-finish it in a few steps; `sinkhorn` states the rule.
+2017, "A Sinkhorn-Newton method for entropic optimal transport"), finishes
+the solve in a few steps; `sinkhorn` states the rules.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ if TYPE_CHECKING:
 
 ENTROPY_GRAD_FLOOR = -745.0  # log of the smallest positive double
 SCALING_MIN, SCALING_MAX = 1e-150, 1e150  # sinkhorn scalings kept in range
-_TINY = np.finfo(float).tiny  # a column mass below this has underflowed
 GCG_TOL = 1e-7  # relative objective decrease below which gcg_solve stops
 NEWTON_SHIFT = 1e-3  # Newton's Hessian shift per unit of marginal violation
 
@@ -189,28 +189,31 @@ def sinkhorn(
 ) -> Coupling:
     """Entropic transport plan: stabilized Sinkhorn, finished by Newton steps.
 
-    One rule for every shape: `_scaling_sinkhorn`, the iterates of
-    log-domain Sinkhorn in scaling form, runs until the marginal violation
-    reaches `tol` or crawls: the drop since its last check, continued
-    geometrically, would take more than min(k_s, k_t) further iterations
-    to reach `tol`, about what one or two Newton steps cost.
-    `_newton_sinkhorn` then finishes the solve, each Newton step counting
-    as one iteration and solving a dense system min(k_s, k_t) - 1 wide.
-    A solve that reaches `tol` within the scaling form returns what the
-    scaling form alone returns.  The plan is
+    Two stages run in order on every shape.  `_scaling_sinkhorn`, the
+    iterates of log-domain Sinkhorn in scaling form, runs until the
+    marginal violation reaches `tol`, crawls (the drop since its last
+    check, continued geometrically, would take more than min(k_s, k_t)
+    further iterations to reach `tol`, about what one or two Newton steps
+    cost) or its next scaling would leave [SCALING_MIN, SCALING_MAX].
+    `_newton_sinkhorn` then takes Newton steps from its duals, each
+    counting as one iteration, until the violation reaches `tol`; a solve
+    the scaling form finished takes none.  The plan is
     exp(-cost / entropy_weight + u + v) at the final duals u, v.
 
-    Iterates until the worst marginal deviation falls below `tol` or the
-    `max_iters` budget (>= 1) runs out (then the achieved violation is
-    reported with `converged=False`).  A cost of the wrong shape raises
+    Iterates until the worst marginal deviation falls below `tol` (finite,
+    >= 0) or the `max_iters` budget (>= 1) runs out (then the achieved
+    violation is reported with `converged=False`).  `entropy_weight` must
+    be finite and > 0.  A cost of the wrong shape raises
     `DimensionMismatchError`; a NaN or -inf cost, or a row or column with
     no finite cost, raises `NumericalFailureError` before any iteration.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     _check_marginals(a, b)
-    if entropy_weight <= 0:
-        raise ValueError("entropy_weight must be > 0")
+    if not 0 < entropy_weight < np.inf:
+        raise ValueError("entropy_weight must be finite and > 0")
+    if not 0 <= tol < np.inf:
+        raise ValueError("tol must be finite and >= 0")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     log_k = -_checked_cost(cost, a, b) / entropy_weight
@@ -220,73 +223,56 @@ def sinkhorn(
             raise NumericalFailureError("numerical failure: NaN or -inf in sinkhorn cost")
         if not (finite.any(axis=1).all() and finite.any(axis=0).all()):
             raise NumericalFailureError("numerical failure: a cost row or column has no finite entry")
-    u, v, it, violation = _scaling_sinkhorn(log_k, a, b, max_iters, tol)
-    if violation > tol and it < max_iters:
-        u, v, it = _newton_sinkhorn(log_k, a, b, u, v, it, max_iters, tol)
-    plan = np.exp(log_k + u[:, None] + v[None, :])
-    violation = _violation(plan, a, b)
+    u, v, it = _scaling_sinkhorn(log_k, a, b, max_iters, tol)
+    plan, violation, it = _newton_sinkhorn(log_k, a, b, u, v, it, max_iters, tol)
     if not np.all(np.isfinite(plan)):
         raise NumericalFailureError("numerical failure: non-finite transport plan")
     return Coupling(plan, violation, it, violation <= tol)
 
 
 def _scaling_sinkhorn(log_k, a, b, max_iters, tol):
-    """Log-domain Sinkhorn iterates in scaling form; returns (u, v, iterations, violation).
+    """Log-domain Sinkhorn iterates in scaling form; returns (u, v, iterations).
 
-    Stops at violation `tol`, or at the first check where the violation
-    crawls (as `sinkhorn` defines it) to hand over to Newton steps.
+    Stops at violation `tol`, at the first check where the violation
+    crawls (as `sinkhorn` defines it), at the budget, or before an
+    iteration whose scaling would leave [SCALING_MIN, SCALING_MAX] (a
+    column mass that underflows to 0 gives an infinite one).  That last
+    iteration is not taken: the duals are those of the last in-range
+    iterate and the count holds only completed iterations.
 
     Each iteration fits the column marginals, then the row marginals.  The
-    first iteration runs in the log domain and yields duals u, v and the
-    kernel K = exp(log_k + u + v), the current plan.  Later iterations keep
-    the plan as su * K * sv and update the scalings by sv = b / (su @ K),
+    first is a log-domain sweep and yields duals u, v and the kernel
+    K = exp(log_k + u + v), the current plan (Schmitzer 2019).  Later ones
+    keep the plan as su * K * sv and update the scalings by sv = b / (su @ K),
     then su = a / (K @ sv), so rows are exact after each iteration and the
     stopping check reads the column sums, which the next column update
-    reuses.  Two paths keep this stable (Schmitzer 2019):
-
-    - a scaling outside [SCALING_MIN, SCALING_MAX] is absorbed into u, v
-      and K is rebuilt from them (one `exp`);
-    - when a column mass su @ K underflows, the iteration runs in the log
-      domain from the absorbed duals.
+    reuses.
     """
-    log_a, log_b = np.log(a), np.log(b)
-    u = np.zeros(len(a))
-    v = np.zeros(len(b))
-    ones_a, ones_b = np.ones(len(a)), np.ones(len(b))
-    su, sv = ones_a, ones_b  # the plan is su[:, None] * kernel * sv
+    u, v = _sweep(log_k, np.log(a), np.log(b), np.zeros(len(a)))
+    kernel = np.exp(log_k + u[:, None] + v[None, :])
+    su, sv = np.ones(len(a)), np.ones(len(b))  # the plan is su[:, None] * kernel * sv
     check_every = 1 if log_k.size <= 10_000 else 10
-    it, violation = 0, np.inf
+    it, violation = 1, np.inf
     # crawling: violation / previous > (tol / violation) ** crawl
     crawl = check_every / min(log_k.shape)
     with np.errstate(divide="ignore"):
-        for it in range(1, max_iters + 1):
-            log_domain = it == 1
-            if not log_domain:
-                sv = b / col_mass
-                if not _in_range(sv):
-                    log_domain = col_mass.min() < _TINY
-                    if not log_domain:
-                        u, v, kernel = _absorb(log_k, u, v, su, sv)
-                        su, sv = ones_a, ones_b
-            if log_domain:
-                u = u + np.log(su)
-                v = log_b - _logsumexp(log_k + u[:, None], axis=0)
-                u = log_a - _logsumexp(log_k + v[None, :], axis=1)
-                kernel, su, sv = np.exp(log_k + u[:, None] + v[None, :]), ones_a, ones_b
-            else:
-                su = a / (kernel @ sv)
-                if not _in_range(su):
-                    u, v, kernel = _absorb(log_k, u, v, su, sv)
-                    su, sv = ones_a, ones_b
+        while True:
             col_mass = su @ kernel
-            if it % check_every == 0 or it == max_iters:
+            if it % check_every == 0:
                 # rows are exact after the row update, so only columns can miss
                 previous, violation = violation, float(np.abs(sv * col_mass - b).max())
                 if not np.isfinite(violation):
                     raise NumericalFailureError("numerical failure: NaN in sinkhorn iterates")
                 if violation <= tol or violation > previous * (tol / violation) ** crawl:
                     break
-        return u + np.log(su), v + np.log(sv), it, violation
+            next_sv = b / col_mass
+            if it == max_iters or not _in_range(next_sv):
+                break
+            next_su = a / (kernel @ next_sv)
+            if not _in_range(next_su):
+                break
+            su, sv, it = next_su, next_sv, it + 1
+        return u + np.log(su), v + np.log(sv), it
 
 
 def _newton_sinkhorn(log_k, a, b, u, v, it, max_iters, tol):
@@ -306,19 +292,22 @@ def _newton_sinkhorn(log_k, a, b, u, v, it, max_iters, tol):
     change along a step is summed as P * expm1 so it does not cancel
     against a.u + b.v.  A log-domain Sinkhorn sweep follows each step:
     where the plan has underflowed, Newton moves a dual by O(1) per step
-    and a sweep moves it in one go.  Returns (u, v, iterations).
+    and a sweep moves it in one go.
+
+    Returns (plan, violation, iterations) at the last check, which comes
+    before any step when (u, v) already meet `tol` or the budget is spent.
     """
     log_a, log_b = np.log(a), np.log(b)
     with np.errstate(over="ignore", invalid="ignore"):
-        plan = np.exp(log_k + u[:, None] + v[None, :])
-        while it < max_iters:
+        while True:
+            plan = np.exp(log_k + u[:, None] + v[None, :])
             rows, cols = plan.sum(axis=1), plan.sum(axis=0)
             row_res, col_res = rows - a, cols - b
-            violation = max(np.abs(row_res).max(), np.abs(col_res).max())
+            violation = float(max(np.abs(row_res).max(), np.abs(col_res).max()))
             if not np.isfinite(violation):
                 raise NumericalFailureError("numerical failure: NaN in sinkhorn iterates")
-            if violation <= tol:
-                break
+            if violation <= tol or it >= max_iters:
+                return plan, violation, it
             it += 1
             shift = NEWTON_SHIFT * violation
             du, dv = _newton_direction(plan, rows, cols, row_res, col_res, shift)
@@ -330,10 +319,7 @@ def _newton_sinkhorn(log_k, a, b, u, v, it, max_iters, tol):
                     u, v = u + t * du, v + t * dv
                     break
                 t *= 0.5
-            v = log_b - _logsumexp(log_k + u[:, None], axis=0)
-            u = log_a - _logsumexp(log_k + v[None, :], axis=1)
-            plan = np.exp(log_k + u[:, None] + v[None, :])
-    return u, v, it
+            u, v = _sweep(log_k, log_a, log_b, u)
 
 
 def _newton_direction(plan, rows, cols, row_res, col_res, shift):
@@ -361,11 +347,10 @@ def _in_range(scaling: np.ndarray) -> bool:
     return SCALING_MIN <= scaling.min() and scaling.max() <= SCALING_MAX
 
 
-def _absorb(log_k, u, v, su, sv):
-    """Fold scalings into the duals; return them and the plan they give."""
-    u = u + np.log(su)
-    v = v + np.log(sv)
-    return u, v, np.exp(log_k + u[:, None] + v[None, :])
+def _sweep(log_k, log_a, log_b, u):
+    """One log-domain Sinkhorn iteration from u: fit the columns, then the rows."""
+    v = log_b - _logsumexp(log_k + u[:, None], axis=0)
+    return log_a - _logsumexp(log_k + v[None, :], axis=1), v
 
 
 def _logsumexp(m: np.ndarray, axis: int) -> np.ndarray:
