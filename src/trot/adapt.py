@@ -11,6 +11,7 @@ from .errors import (
     DegenerateCouplingError,
     DegenerateCovarianceError,
     DimensionMismatchError,
+    InsufficientDataError,
     TrotError,
 )
 from .hmm import TemporalAtlas
@@ -76,10 +77,13 @@ def coral_align(
     """Recolor source features so their covariance matches the target's.
 
     Whitens by the (ridge-regularized) source covariance and recolors by the
-    target covariance via Cholesky factors.
+    target covariance via Cholesky factors.  Each side needs at least 2
+    windows for a covariance.
     """
-    if len(src) == 0 or len(tgt) == 0:
-        raise DimensionMismatchError("dimension mismatch: empty dataset")
+    if len(src) < 2 or len(tgt) < 2:
+        raise InsufficientDataError(
+            f"insufficient data: coral needs 2 windows a side, got {len(src)} and {len(tgt)}"
+        )
     if src.dim != tgt.dim:
         raise DimensionMismatchError(f"dimension mismatch: {src.dim} vs {tgt.dim}")
     d = src.dim

@@ -27,6 +27,7 @@ from .ot_core import (
     TrotHyperparams,
     cost_matrix,
     gcg_solve,
+    nearest_rows,
     pairwise_sq_dists,
     same_order_mask,
     sinkhorn,
@@ -130,7 +131,12 @@ def default_grid(method: str) -> tuple[TrotHyperparams | None, ...]:
 def knn1_classify(train: FeatureDataset, query: FeatureDataset) -> np.ndarray:
     """Label of the Euclidean-nearest training window per query window.
 
-    Distance ties resolve to the lowest training index.
+    Distance ties resolve to the lowest training index.  Distances use the
+    expansion |x|^2 + |y|^2 - 2 x.y (`ot_core.nearest_rows`), which cancels
+    catastrophically far from the origin: with training rows [1e8] and
+    [1e8 + 1], the query 1e8 + 0.9 is at distance 0 from both and takes row
+    0's label.  The features `run_task` passes are max-abs scaled into
+    [-1, 1], where this does not arise.
     """
     if len(train) == 0:
         raise InsufficientDataError("insufficient data: empty training set")
@@ -138,8 +144,7 @@ def knn1_classify(train: FeatureDataset, query: FeatureDataset) -> np.ndarray:
         raise TrotError("training dataset has no labels")
     if train.dim != query.dim:
         raise DimensionMismatchError(f"dimension mismatch: {train.dim} vs {query.dim}")
-    nearest = pairwise_sq_dists(query.features, train.features).argmin(axis=1)
-    return train.labels[nearest]
+    return train.labels[nearest_rows(query.features, train.features)]
 
 
 def temporal_split(target: FeatureDataset) -> tuple[FeatureDataset, FeatureDataset]:

@@ -42,6 +42,7 @@ ENTROPY_GRAD_FLOOR = -745.0  # log of the smallest positive double
 SCALING_MIN, SCALING_MAX = 1e-150, 1e150  # sinkhorn scalings kept in range
 GCG_TOL = 1e-7  # relative objective decrease below which gcg_solve stops
 NEWTON_SHIFT = 1e-3  # Newton's Hessian shift per unit of marginal violation
+NEAREST_BLOCK_CELLS = 1 << 16  # cells of each distance buffer nearest_rows reuses
 
 
 @dataclass
@@ -100,10 +101,46 @@ def same_order_mask(src_atlas: TemporalAtlas, tgt_atlas: TemporalAtlas) -> np.nd
 
 def pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between rows of x and rows of y."""
+    x, y = _checked_rows(x, y)
+    return _sq_dists(x, y, (y**2).sum(axis=1))
+
+
+def nearest_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Index of the Euclidean-nearest row of y for every row of x.
+
+    Ties resolve to the lowest index.  The distances are computed a block of
+    x's rows at a time, in two buffers of about `NEAREST_BLOCK_CELLS` cells
+    that every block reuses, so no (len(x), len(y)) matrix is built.
+    """
+    x, y = _checked_rows(x, y)
+    rows = max(1, NEAREST_BLOCK_CELLS // max(len(y), 1))
+    # One allocation: as two, glibc returned them to the system after every
+    # call (its trim threshold adapts to the largest single block freed).
+    prod, dist = np.empty((2, min(rows, len(x)), len(y)))
+    y_sq = (y**2).sum(axis=1)
+    nearest = np.empty(len(x), dtype=np.intp)
+    for start in range(0, len(x), rows):
+        block = slice(start, min(start + rows, len(x)))
+        k = block.stop - start
+        _sq_dists(x[block], y, y_sq, prod[:k], dist[:k]).argmin(axis=1, out=nearest[block])
+    return nearest
+
+
+def _checked_rows(x, y):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.shape[1] != y.shape[1]:
         raise DimensionMismatchError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
-    d2 = (x**2).sum(axis=1)[:, None] + (y**2).sum(axis=1)[None, :] - 2.0 * (x @ y.T)
-    return np.maximum(d2, 0.0)
+    return x, y
+
+
+def _sq_dists(x, y, y_sq, prod=None, out=None):
+    """(|x|^2 + |y|^2) - 2 x.y^T clamped at 0, written into `out` with x.y^T
+    in `prod` (both allocated when None); `y_sq` holds the |y|^2 row sums."""
+    prod = np.matmul(x, y.T, out=prod)
+    out = np.add((x**2).sum(axis=1)[:, None], y_sq, out=out)
+    prod *= 2.0
+    out -= prod
+    return np.maximum(out, 0.0, out=out)
 
 
 def cost_matrix(src_atlas: TemporalAtlas, tgt_atlas: TemporalAtlas) -> np.ndarray:

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from trot.adapt import barycentric_map, barycentric_project, coral_align, transform_samples
-from trot.errors import DegenerateCouplingError, DimensionMismatchError, TrotError
+from trot.errors import (
+    DegenerateCouplingError,
+    DimensionMismatchError,
+    InsufficientDataError,
+    TrotError,
+)
 from trot.hmm import TemporalAtlas, assign_dataset_states, build_atlas
 from trot.ot_core import Coupling
 
@@ -155,3 +160,10 @@ class TestCoral:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionMismatchError):
             coral_align(make_dataset(np.zeros((3, 2))), make_dataset(np.zeros((3, 3))))
+
+    @pytest.mark.parametrize("n_src, n_tgt", [(1, 5), (5, 1), (0, 5), (5, 0), (1, 1)])
+    def test_fewer_than_two_windows_a_side(self, rng, n_src, n_tgt):
+        # one window once gave np.cov a NaN covariance and RuntimeWarnings
+        src, tgt = make_dataset(rng.normal(0, 1, (n_src, 2))), make_dataset(rng.normal(0, 1, (n_tgt, 2)))
+        with pytest.raises(InsufficientDataError, match=f"got {n_src} and {n_tgt}"):
+            coral_align(src, tgt)

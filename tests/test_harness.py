@@ -1,9 +1,12 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trot import harness
+from trot import harness, ot_core
 from trot.adapt import barycentric_map, barycentric_project, coral_align, transform_samples
 from trot.errors import DimensionMismatchError, InsufficientDataError, InvalidSampleError, TrotError
 from trot.harness import (
@@ -110,6 +113,48 @@ class TestKnn:
         with pytest.raises(DimensionMismatchError):
             knn1_classify(train, make_dataset([[0.0]]))
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        cells=st.integers(1, 40),
+        n_train=st.integers(1, 12),
+        dim=st.integers(1, 3),
+        blocks=st.integers(0, 3),
+        offset=st.sampled_from((-1, 0, 1)),
+        data=st.data(),
+    )
+    def test_blocked_matches_full_matrix(self, cells, n_train, dim, blocks, offset, data):
+        """Labels equal the argmin of the full distance matrix, for block
+        sizes from one row up, queries at a multiple of the block height
+        and one row either side of it (an empty query included), and
+        training sets from one row to wider than a block.  Features lie on
+        a small integer grid: every distance is exact, so ties between
+        duplicated training rows are exact too, and go to the lowest index."""
+        rows = max(1, cells // n_train)
+        n_query = max(0, blocks * rows + offset)
+        grid = st.integers(-2, 2)
+        train = np.array(data.draw(st.lists(st.lists(grid, min_size=dim, max_size=dim),
+                                            min_size=n_train, max_size=n_train)), dtype=float)
+        query = np.array(data.draw(st.lists(st.lists(grid, min_size=dim, max_size=dim),
+                                            min_size=n_query, max_size=n_query)), dtype=float)
+        query = query.reshape(n_query, dim)
+        with mock.patch.object(ot_core, "NEAREST_BLOCK_CELLS", cells):
+            labels = knn1_classify(make_dataset(train, labels=np.arange(n_train)), make_dataset(query))
+        assert labels.shape == (n_query,)
+        assert labels.tolist() == pairwise_sq_dists(query, train).argmin(axis=1).tolist()
+        assert labels.tolist() == [int((train == train[i]).all(axis=1).argmax()) for i in labels]
+
+    def test_empty_query(self):
+        train = make_dataset([[0.0, 1.0], [1.0, 0.0]], labels=[3, 4])
+        labels = knn1_classify(train, make_dataset(np.zeros((0, 2))))
+        assert labels.shape == (0,) and labels.dtype == train.labels.dtype
+
+    def test_default_block_size_matches_full_matrix(self, rng):
+        # 800 training rows: 81-row blocks, the last of 400 query rows 76 high
+        train = make_dataset(rng.uniform(-1, 1, (800, 2)), labels=np.arange(800))
+        query = make_dataset(rng.uniform(-1, 1, (400, 2)))
+        expected = pairwise_sq_dists(query.features, train.features).argmin(axis=1)
+        assert np.array_equal(knn1_classify(train, query), expected)
+
 
 class TestTemporalSplit:
     def test_even_split(self):
@@ -177,6 +222,14 @@ class TestRunTask:
         with pytest.raises(ValueError):
             TaskSpec("u", "u", "na")
         TaskSpec("u", "u", "td")  # allowed
+
+    def test_coral_on_one_window_validation_half_reports_insufficient_data(self):
+        # a 3-window target leaves 1 validation window: np.cov once gave NaN
+        # with RuntimeWarnings and the task failed as a non-finite feature
+        source, target = tiny_pair()
+        report = run_task(TaskSpec("s", "t", "coral"), source, target.subset(np.arange(3)))
+        assert report.error == "insufficient data: coral needs 2 windows a side, got 80 and 1"
+        assert report.test_accuracy is None
 
     def test_failed_grid_point_recorded_not_raised(self):
         source, target = tiny_pair()
