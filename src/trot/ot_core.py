@@ -23,7 +23,10 @@ It stops when its violation stops dropping fast, as it soon does at small
 entropy weights, or before a scaling would leave its range.  The second,
 damped Newton steps on the Sinkhorn dual (Brauer, Clason, Lorenz & Wirth
 2017, "A Sinkhorn-Newton method for entropic optimal transport"), finishes
-the solve in a few steps; `sinkhorn` states the rules.
+the solve in a few steps; `sinkhorn` states the rules.  Each step is
+followed by a Sinkhorn sweep, in scaling form on the plan its line search
+already holds, and in the log domain only where a scaling would leave its
+range.
 """
 
 from __future__ import annotations
@@ -128,6 +131,10 @@ def nearest_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _checked_rows(x, y):
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.ndim != 2 or y.ndim != 2:
+        raise DimensionMismatchError(
+            f"dimension mismatch: rows must be 2-D, got {x.shape} and {y.shape}"
+        )
     if x.shape[1] != y.shape[1]:
         raise DimensionMismatchError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
     return x, y
@@ -193,6 +200,10 @@ def temporal_reg(
 
 
 def _check_marginals(a: np.ndarray, b: np.ndarray):
+    if a.ndim != 1 or b.ndim != 1:
+        raise DimensionMismatchError(
+            f"dimension mismatch: marginals must be 1-D, got {a.shape} and {b.shape}"
+        )
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("marginals must be finite")
     if np.any(a <= 0) or np.any(b <= 0):
@@ -327,15 +338,17 @@ def _newton_sinkhorn(log_k, a, b, u, v, it, max_iters, tol):
     steps into slow gradient-like ones.  An Armijo search (sufficient
     decrease 1e-4, up to 30 halvings, else no step) backtracks on f, whose
     change along a step is summed as P * expm1 so it does not cancel
-    against a.u + b.v.  A log-domain Sinkhorn sweep follows each step:
-    where the plan has underflowed, Newton moves a dual by O(1) per step
+    against a.u + b.v; the accepted change is added to P, which gives the
+    plan at the new duals without another `exp`.  A Sinkhorn sweep follows
+    each step (`_plan_sweep`): in scaling form on that plan, in the log
+    domain only where a scaling would leave [SCALING_MIN, SCALING_MAX].
+    Where the plan has underflowed, Newton moves a dual by O(1) per step
     and a sweep moves it in one go.
 
     Returns (plan, violation, iterations) at the last check, which comes
     before any step when (u, v) already meet `tol` or the budget is spent.
     """
-    log_a, log_b = np.log(a), np.log(b)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while True:
             plan = np.exp(log_k + u[:, None] + v[None, :])
             rows, cols = plan.sum(axis=1), plan.sum(axis=0)
@@ -349,14 +362,17 @@ def _newton_sinkhorn(log_k, a, b, u, v, it, max_iters, tol):
             shift = NEWTON_SHIFT * violation
             du, dv = _newton_direction(plan, rows, cols, row_res, col_res, shift)
             slope, along = row_res @ du + col_res @ dv, du[:, None] + dv[None, :]
-            t = 1.0
+            t, change = 1.0, np.empty_like(plan)
             for _ in range(30):
-                decrease = (plan * np.expm1(t * along)).sum() - t * (a @ du + b @ dv)
-                if decrease <= 1e-4 * t * slope:
+                # change = plan * expm1(t * along), the plan's change along the step
+                np.expm1(np.multiply(t, along, out=change), out=change)
+                change *= plan
+                if change.sum() - t * (a @ du + b @ dv) <= 1e-4 * t * slope:
+                    plan += change
                     u, v = u + t * du, v + t * dv
                     break
                 t *= 0.5
-            u, v = _sweep(log_k, log_a, log_b, u)
+            u, v = _plan_sweep(log_k, a, b, plan, u, v)
 
 
 def _newton_direction(plan, rows, cols, row_res, col_res, shift):
@@ -366,22 +382,38 @@ def _newton_direction(plan, rows, cols, row_res, col_res, shift):
     D_r = diag(rows) + shift, du = -D_r^-1 (row_res + Q dv) and dv solves
     the Schur complement system
     (diag(cols) + shift - Q' D_r^-1 Q) dv = Q' D_r^-1 row_res - col_res,
-    so the dense solve is min(k_s, k_t) - 1 wide.  k_s < k_t is solved
-    transposed.
+    so the dense solve is min(k_s, k_t) - 1 wide.  Q' D_r^-1 Q is built as
+    W'W with W = D_r^-1/2 Q.  k_s < k_t is solved transposed.
     """
     if plan.shape[0] < plan.shape[1]:
         dv, du = _newton_direction(plan.T, cols, rows, col_res, row_res, shift)
         return du, dv
-    q = plan[:, :-1]
-    scaled = q / (rows + shift)[:, None]
-    schur = -(scaled.T @ q)
+    q, d_r = plan[:, :-1], rows + shift
+    w = q / np.sqrt(d_r)[:, None]
+    schur = -(w.T @ w)  # numpy hands a symmetric product to BLAS syrk
     schur.flat[:: len(schur) + 1] += cols[:-1] + shift
-    dv = np.append(np.linalg.solve(schur, scaled.T @ row_res - col_res[:-1]), 0.0)
-    return -(row_res + plan @ dv) / (rows + shift), dv
+    dv = np.append(np.linalg.solve(schur, q.T @ (row_res / d_r) - col_res[:-1]), 0.0)
+    return -(row_res + plan @ dv) / d_r, dv
 
 
 def _in_range(scaling: np.ndarray) -> bool:
     return SCALING_MIN <= scaling.min() and scaling.max() <= SCALING_MAX
+
+
+def _plan_sweep(log_k, a, b, plan, u, v):
+    """`_sweep` from duals (u, v) whose plan exp(log_k + u + v) is `plan`.
+
+    The same column-then-row fit in scaling form: sv = b / (plan' 1), then
+    su = a / (plan sv), added to the duals as logs, with no `exp`.  Where sv
+    or su would leave [SCALING_MIN, SCALING_MAX] (a column of `plan` that
+    has underflowed gives an infinite sv) it runs `_sweep` from u instead.
+    """
+    sv = b / plan.sum(axis=0)
+    if _in_range(sv):
+        su = a / (plan @ sv)
+        if _in_range(su):
+            return u + np.log(su), v + np.log(sv)
+    return _sweep(log_k, np.log(a), np.log(b), u)
 
 
 def _sweep(log_k, log_a, log_b, u):

@@ -19,7 +19,13 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InsufficientDataError, InvalidOverlapError, InvalidSampleError, ScalerMismatchError
+from .errors import (
+    DimensionMismatchError,
+    InsufficientDataError,
+    InvalidOverlapError,
+    InvalidSampleError,
+    ScalerMismatchError,
+)
 
 CHANNEL_NAMES = ("acc_x", "acc_y", "acc_z", "gyro_x", "gyro_y", "gyro_z")
 
@@ -70,6 +76,10 @@ class FeatureDataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
+        if self.features.ndim != 2:
+            raise DimensionMismatchError(
+                f"dimension mismatch: features must be (n, d), got shape {self.features.shape}"
+            )
         if not np.all(np.isfinite(self.features)):
             raise InvalidSampleError("invalid sample: non-finite feature")
         self.window_index = np.asarray(self.window_index, dtype=int)

@@ -545,6 +545,70 @@ class TestNewtonFinish:
             assert coupling.marginal_violation <= 1e-9
 
 
+class TestNewtonStep:
+    """One Newton step: the shifted, pinned Newton system and the sweep after it."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(shape=st.tuples(st.integers(2, 25), st.integers(2, 25)), seed=st.integers(0, 2**32 - 1))
+    def test_direction_solves_the_shifted_pinned_system(self, shape, seed):
+        # the Schur complement route against the dense (k_s + k_t) system,
+        # in both orientations: the last dual of the shorter side is pinned
+        # (the last v when k_s >= k_t, the last u when k_s < k_t)
+        rng = np.random.default_rng(seed)
+        a, b = rng.dirichlet(np.ones(shape[0])), rng.dirichlet(np.ones(shape[1]))
+        plan = np.outer(a, b) * np.exp(rng.normal(size=shape))
+        rows, cols = plan.sum(axis=1), plan.sum(axis=0)
+        gradient = np.concatenate([rows - a, cols - b])
+        shift = ot_core.NEWTON_SHIFT * np.abs(gradient).max()
+        du, dv = ot_core._newton_direction(plan, rows, cols, rows - a, cols - b, shift)
+        hessian = np.block([[np.diag(rows), plan], [plan.T, np.diag(cols)]])
+        hessian += shift * np.eye(len(gradient))
+        step = np.concatenate([du, dv])
+        pinned = len(step) - 1 if shape[0] >= shape[1] else shape[0] - 1
+        assert step[pinned] == 0.0
+        residual = np.delete(hessian @ step + gradient, pinned)
+        scale = np.delete(np.abs(hessian) @ np.abs(step) + np.abs(gradient), pinned)
+        assert np.all(np.abs(residual) <= 1e-12 * scale)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(shape=st.tuples(st.integers(1, 30), st.integers(1, 30)), seed=st.integers(0, 2**32 - 1))
+    def test_plan_sweep_matches_log_domain_sweep(self, shape, seed):
+        # unit costs at entropy weights 0.05 to 3 and duals near log a, log b:
+        # every scaling stays in range, so the scaling form must serve the sweep
+        rng = np.random.default_rng(seed)
+        a, b = rng.dirichlet(np.ones(shape[0])), rng.dirichlet(np.ones(shape[1]))
+        log_k = -rng.uniform(size=shape) / 10 ** rng.uniform(np.log10(0.05), np.log10(3))
+        u = np.log(a) + rng.normal(size=shape[0])
+        v = np.log(b) + rng.normal(size=shape[1])
+        want = ot_core._sweep(log_k, np.log(a), np.log(b), u)
+        with mock.patch.object(ot_core, "_sweep", wraps=ot_core._sweep) as fallback:
+            got = ot_core._plan_sweep(log_k, a, b, np.exp(log_k + u[:, None] + v[None, :]), u, v)
+        assert not fallback.called
+        # both round log_k + u + v, so the duals agree to eps at its magnitude
+        atol = 16 * np.finfo(float).eps * (1 + np.abs(log_k).max() + np.abs(u).max() + np.abs(v).max())
+        assert np.abs(got[0] - want[0]).max() <= atol
+        assert np.abs(got[1] - want[1]).max() <= atol
+
+    def test_narrowed_range_falls_back_to_the_log_domain(self, monkeypatch):
+        # at [1e-3, 1e3] this problem hands over after 2 iterations and 10 of
+        # its Newton steps' sweeps would leave the range; at the default range
+        # none does, and both solves end on the same plan
+        a, b, cost, entropy_weight = random_problem((8, 9), 243)
+        with monkeypatch.context() as patched:
+            calls = count_calls(patched, "_sweep")
+            want = sinkhorn(a, b, cost, entropy_weight)
+        assert len(calls) == 1  # the scaling form's first iteration
+        monkeypatch.setattr(ot_core, "SCALING_MIN", 1e-3)
+        monkeypatch.setattr(ot_core, "SCALING_MAX", 1e3)
+        calls = count_calls(monkeypatch, "_sweep")
+        with spy_on_newton() as newton:
+            got = sinkhorn(a, b, cost, entropy_weight)
+        assert handed_over(got, newton)
+        assert len(calls) > 1
+        assert want.converged and got.converged
+        assert np.abs(got.values - want.values).max() <= 1e-8
+
+
 class TestSinkhorn:
     def test_zero_cost_uniform(self):
         c = sinkhorn(np.full(2, 0.5), np.full(2, 0.5), np.zeros((2, 2)), 1.0)
@@ -573,6 +637,14 @@ class TestSinkhorn:
         # NaN compares false against both checks above, so it once reached the loop
         with pytest.raises(ValueError, match="marginals"):
             sinkhorn(np.array([np.nan, 0.5]), np.array([0.5, 0.5]), np.zeros((2, 2)), 0.1)
+
+    def test_rejects_marginals_that_are_not_1d(self):
+        # a (2, 1) marginal once broadcast into a (2, 2, 2) "plan" flagged converged
+        for a, b in ((np.full((2, 1), 0.5), np.full(2, 0.5)), (np.full(2, 0.5), np.full((1, 2), 0.5))):
+            with pytest.raises(DimensionMismatchError, match="1-D"):
+                sinkhorn(a, b, np.zeros((2, 2)), 1.0)
+            with pytest.raises(DimensionMismatchError, match="1-D"):
+                gcg_solve(a, b, np.zeros((2, 2)), TrotHyperparams())
 
     def test_rejects_cost_of_wrong_shape(self):
         a, b = np.full(2, 0.5), np.full(3, 1 / 3)
@@ -789,3 +861,11 @@ def test_pairwise_sq_dists_matches_direct(rng):
     x, y = rng.normal(0, 1, (6, 3)), rng.normal(0, 1, (4, 3))
     direct = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)
     assert np.allclose(pairwise_sq_dists(x, y), direct, atol=1e-12)
+
+
+@pytest.mark.parametrize("fn", [pairwise_sq_dists, ot_core.nearest_rows])
+@pytest.mark.parametrize("x, y", [(np.arange(3.0), np.zeros((2, 1))), (np.zeros((3, 1)), np.arange(2.0))])
+def test_rows_must_be_2d(fn, x, y):
+    # 1-D rows once raised IndexError: tuple index out of range
+    with pytest.raises(DimensionMismatchError, match="2-D"):
+        fn(x, y)

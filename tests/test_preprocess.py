@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trot.errors import (
+    DimensionMismatchError,
     InsufficientDataError,
     InvalidOverlapError,
     InvalidSampleError,
@@ -611,6 +612,12 @@ class TestPipelineAndIO:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(InvalidSampleError):
             load_recording(path, 30.0)
+
+    @pytest.mark.parametrize("features", [np.arange(6.0), np.zeros((6, 2, 1))])
+    def test_features_must_be_2d(self, features):
+        # 1-D features were once accepted, and run_task then raised a TypeError
+        with pytest.raises(DimensionMismatchError, match=r"\(n, d\)"):
+            FeatureDataset(features, np.zeros(6, dtype=int), np.arange(6))
 
     def test_window_index_must_increase(self):
         with pytest.raises(ValueError):
