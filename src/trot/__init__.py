@@ -1,6 +1,6 @@
 """Temporal relation optimal transport for cross-user activity recognition."""
 
-from .adapt import MappedAtlas, barycentric_map, barycentric_project, coral_align, transform_samples
+from .adapt import barycentric_map, barycentric_project, coral_align, transform_samples
 from .errors import TrotError
 from .harness import (
     METHODS,

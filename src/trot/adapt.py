@@ -3,7 +3,7 @@ correlation-alignment baseline."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -19,21 +19,6 @@ from .ot_core import Coupling
 from .preprocess import FeatureDataset
 
 
-@dataclass
-class MappedAtlas:
-    """Transported source state centers and their per-state displacements.
-
-    Row i is source state i, tagged by the source atlas's `classes[i]` and
-    `orders[i]`, so samples can be shifted by the displacement of the state
-    they belong to.
-    """
-
-    mapped_means: np.ndarray  # (k_s, d)
-    displacement: np.ndarray  # (k_s, d), mapped - original mean
-    classes: np.ndarray  # (k_s,)
-    orders: np.ndarray  # (k_s,)
-
-
 def barycentric_project(coupling_values: np.ndarray, locations: np.ndarray) -> np.ndarray:
     """Row-normalized coupling times target locations: each source point moves
     to the coupling-weighted average of where its mass lands."""
@@ -45,30 +30,32 @@ def barycentric_project(coupling_values: np.ndarray, locations: np.ndarray) -> n
 
 def barycentric_map(
     coupling: Coupling, src_atlas: TemporalAtlas, tgt_atlas: TemporalAtlas
-) -> MappedAtlas:
-    """Map each source state mean onto the target atlas via the coupling."""
-    mapped = barycentric_project(coupling.values, tgt_atlas.means)
-    return MappedAtlas(mapped, mapped - src_atlas.means, src_atlas.classes, src_atlas.orders)
+) -> np.ndarray:
+    """(k_s, d) displacement of each source state mean onto its barycentric
+    image in the target atlas; row i is source atlas row i."""
+    return barycentric_project(coupling.values, tgt_atlas.means) - src_atlas.means
 
 
 def transform_samples(
-    src_dataset: FeatureDataset,
-    state_assignment: tuple[np.ndarray, np.ndarray],
-    mapped: MappedAtlas,
+    src_dataset: FeatureDataset, rows: np.ndarray, displacement: np.ndarray
 ) -> FeatureDataset:
-    """Shift every source window by its state's displacement vector.
+    """Shift every source window by the displacement of its atlas row.
 
-    `state_assignment` is the per-window (classes, orders) pair as returned
-    by `assign_dataset_states`.  Window order, indices and labels are kept.
+    `rows` holds each window's row of the source atlas, as returned by
+    `assign_dataset_states`, and `displacement` is `barycentric_map`'s
+    (k_s, d) output.  Window order, indices and labels are kept.
     """
-    classes, orders = state_assignment
-    match = (classes[:, None] == mapped.classes) & (orders[:, None] == mapped.orders)
-    known = match.any(axis=1)
-    if not known.all():
-        i = int(np.argmin(known))
-        raise TrotError(f"window {i} assigned to unknown state ({classes[i]}, {orders[i]})")
-    rows = match.argmax(axis=1)
-    return replace(src_dataset, features=src_dataset.features + mapped.displacement[rows])
+    rows = np.asarray(rows)
+    if rows.shape != (len(src_dataset),) or displacement.shape[1:] != (src_dataset.dim,):
+        raise DimensionMismatchError(
+            f"dimension mismatch: rows {rows.shape} and displacement {displacement.shape} "
+            f"for {len(src_dataset)} windows of dimension {src_dataset.dim}"
+        )
+    outside = np.flatnonzero((rows < 0) | (rows >= len(displacement)))
+    if len(outside):
+        i = outside[0]
+        raise TrotError(f"window {i} assigned to row {rows[i]} of a {len(displacement)}-state atlas")
+    return replace(src_dataset, features=src_dataset.features + displacement[rows])
 
 
 def coral_align(

@@ -131,12 +131,8 @@ def default_grid(method: str) -> tuple[TrotHyperparams | None, ...]:
 def knn1_classify(train: FeatureDataset, query: FeatureDataset) -> np.ndarray:
     """Label of the Euclidean-nearest training window per query window.
 
-    Distance ties resolve to the lowest training index.  Distances use the
-    expansion |x|^2 + |y|^2 - 2 x.y (`ot_core.nearest_rows`), which cancels
-    catastrophically far from the origin: with training rows [1e8] and
-    [1e8 + 1], the query 1e8 + 0.9 is at distance 0 from both and takes row
-    0's label.  The features `run_task` passes are max-abs scaled into
-    [-1, 1], where this does not arise.
+    Distance ties resolve to the lowest training index
+    (`ot_core.nearest_rows`).
     """
     if len(train) == 0:
         raise InsufficientDataError("insufficient data: empty training set")
@@ -174,8 +170,10 @@ def _solver(method: str, source: FeatureDataset, validation: FeatureDataset, see
 
     ot/otda prepare their subsamples, cost and marginals here, once per task.
     trot prepares its pseudo labels once per task and its atlases, cost, mask
-    and source state assignment once per `n_states`, on first use; one that
-    raises is not cached, so every grid point that needs it fails alike.
+    and the source windows' atlas rows once per `n_states`, on first use;
+    one that raises is not cached, so every grid point that needs it fails
+    alike.  A trot grid point is then one solve, one displacement per source
+    state and one gather of those displacements by row.
     """
     if method in ("na", "td"):
         return lambda hyper: (source if method == "na" else validation, None, None)
@@ -208,12 +206,12 @@ def _solver(method: str, source: FeatureDataset, validation: FeatureDataset, see
         return src_atlas, tgt_atlas, cost, same_order, assign_dataset_states(source, n_states)
 
     def solve_trot(hyper):
-        src_atlas, tgt_atlas, cost, same_order, assignment = atlases(hyper.n_states)
+        src_atlas, tgt_atlas, cost, same_order, rows = atlases(hyper.n_states)
         coupling, trace = gcg_solve(
             src_atlas.weights, tgt_atlas.weights, cost, hyper, src_atlas.classes, same_order
         )
-        mapped = barycentric_map(coupling, src_atlas, tgt_atlas)
-        return transform_samples(source, assignment, mapped), trace, coupling.converged
+        displacement = barycentric_map(coupling, src_atlas, tgt_atlas)
+        return transform_samples(source, rows, displacement), trace, coupling.converged
 
     return solve_trot
 

@@ -223,15 +223,14 @@ def build_atlas(
 
 def assign_dataset_states(
     dataset: FeatureDataset, n_states: int, mode: str = "deterministic"
-):
-    """Per-window (class, order) assignment matching the `build_atlas` rows.
-
-    Orders are 1-based, as in `TemporalAtlas.orders`.
-    """
+) -> np.ndarray:
+    """Each window's row in the `build_atlas` layout: its class's position
+    among the sorted labels times `n_states`, plus its chain state."""
     if dataset.labels is None:
         raise ClassAbsentError("class absent: dataset has no labels")
-    orders = np.zeros(len(dataset), dtype=int)
-    for c in np.unique(dataset.labels):
-        idx = np.nonzero(dataset.labels == c)[0]
-        orders[idx] = assign_states(dataset.subset(idx), n_states, mode) + 1
-    return dataset.labels.copy(), orders
+    classes, position = np.unique(dataset.labels, return_inverse=True)
+    rows = position * n_states
+    for i in range(len(classes)):
+        idx = np.nonzero(position == i)[0]
+        rows[idx] += assign_states(dataset.subset(idx), n_states, mode)
+    return rows

@@ -31,7 +31,7 @@ range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -66,6 +66,12 @@ class TrotHyperparams:
     gcg_iters: int = 20
 
     def __post_init__(self):
+        if not float(self.n_states).is_integer():
+            raise ValueError("n_states must be an integer")
+        # plain Python numbers, so a grid built from numpy values serializes
+        self.n_states = int(self.n_states)
+        for name in ("entropy_weight", "group_weight", "order_weight"):
+            setattr(self, name, float(getattr(self, name)))
         if not 0 < self.entropy_weight < np.inf:
             raise ValueError("entropy_weight must be finite and > 0")
         if not (0 <= self.group_weight < np.inf and 0 <= self.order_weight < np.inf):
@@ -78,13 +84,7 @@ class TrotHyperparams:
             raise ValueError("sinkhorn_iters and gcg_iters must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "entropy_weight": self.entropy_weight,
-            "group_weight": self.group_weight,
-            "order_weight": self.order_weight,
-            "order_mode": self.order_mode,
-            "n_states": self.n_states,
-        }
+        return {k: v for k, v in asdict(self).items() if k not in ("sinkhorn_iters", "gcg_iters")}
 
 
 @dataclass
@@ -103,30 +103,47 @@ def same_order_mask(src_atlas: TemporalAtlas, tgt_atlas: TemporalAtlas) -> np.nd
 
 
 def pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between rows of x and rows of y."""
+    """Squared Euclidean distances between rows of x and rows of y, both
+    centred on `_centre(y)` so the expansion does not cancel far from 0."""
     x, y = _checked_rows(x, y)
-    return _sq_dists(x, y, (y**2).sum(axis=1))
+    centre = _centre(y)
+    y = y - centre
+    return _sq_dists(x - centre, y, (y**2).sum(axis=1))
 
 
 def nearest_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Index of the Euclidean-nearest row of y for every row of x.
 
-    Ties resolve to the lowest index.  The distances are computed a block of
-    x's rows at a time, in two buffers of about `NEAREST_BLOCK_CELLS` cells
-    that every block reuses, so no (len(x), len(y)) matrix is built.
+    Ties resolve to the lowest index.  Both sides are centred as in
+    `pairwise_sq_dists`.  The distances are computed a block of x's rows at
+    a time, in two buffers of about `NEAREST_BLOCK_CELLS` cells that every
+    block reuses, so no (len(x), len(y)) matrix is built.
     """
     x, y = _checked_rows(x, y)
-    rows = max(1, NEAREST_BLOCK_CELLS // max(len(y), 1))
-    # One allocation: as two, glibc returned them to the system after every
-    # call (its trim threshold adapts to the largest single block freed).
-    prod, dist = np.empty((2, min(rows, len(x)), len(y)))
+    rows = max(1, min(NEAREST_BLOCK_CELLS // max(len(y), 1), len(x)))
+    cells = rows * len(y)
+    # One allocation for both buffers and the centred y: as several, glibc
+    # returned them to the system after every call (its trim threshold
+    # adapts to the largest single block freed).
+    buffer = np.empty(2 * cells + y.size)
+    prod, dist = buffer[: 2 * cells].reshape(2, rows, len(y))
+    centre = _centre(y)
+    y = np.subtract(y, centre, out=buffer[2 * cells :].reshape(y.shape))
     y_sq = (y**2).sum(axis=1)
     nearest = np.empty(len(x), dtype=np.intp)
     for start in range(0, len(x), rows):
         block = slice(start, min(start + rows, len(x)))
         k = block.stop - start
-        _sq_dists(x[block], y, y_sq, prod[:k], dist[:k]).argmin(axis=1, out=nearest[block])
+        _sq_dists(x[block] - centre, y, y_sq, prod[:k], dist[:k]).argmin(axis=1, out=nearest[block])
     return nearest
+
+
+def _centre(y):
+    """Centre of y's bounding box (zeros for no rows): data on a grid of
+    spacing h stays on one of spacing h / 2, so exact distance ties stay exact."""
+    if len(y) == 0:
+        return np.zeros(y.shape[1])
+    return (y.min(axis=0) + y.max(axis=0)) / 2
 
 
 def _checked_rows(x, y):
@@ -439,9 +456,10 @@ def gcg_solve(
 ) -> tuple[Coupling, np.ndarray]:
     """Solve the fully regularized problem by conditional gradient.
 
-    `classes` (the source class label per row) is required when
-    `hyper.group_weight > 0`, and `same_order` (the (k_s, k_t) same-order
-    mask) when `hyper.order_weight > 0`.
+    `classes` (the source class label per row, shape (k_s,)) is required
+    when `hyper.group_weight > 0`, and `same_order` (the (k_s, k_t)
+    same-order mask) when `hyper.order_weight > 0`; either one of another
+    shape raises `DimensionMismatchError`.
 
     Each iteration linearizes the group penalties at the current plan, solves
     the entropic subproblem on the shifted cost, then backtracks (Armijo,
@@ -449,7 +467,8 @@ def gcg_solve(
     feasible segment.  Stops when the relative objective decrease drops
     below `GCG_TOL` or no descent direction remains.  Without penalties
     (both weights 0) every subproblem has the same cost, so its Sinkhorn
-    solve is done once and reused.
+    solve is done once and reused.  Each trial point is evaluated once, and
+    the accepted one's gradients are what the next iteration linearizes.
 
     Returns the final coupling and the objective value per accepted iterate.
     The coupling is flagged `converged` only when every Sinkhorn direction
@@ -464,54 +483,50 @@ def gcg_solve(
         raise ValueError("group_weight > 0 requires class groups")
     if tau > 0 and same_order is None:
         raise ValueError("order_weight > 0 requires order groups")
+    for name, groups, shape in (("classes", classes, a.shape), ("same_order", same_order, cost.shape)):
+        if groups is not None and np.shape(groups) != shape:
+            raise DimensionMismatchError(f"dimension mismatch: {name} {np.shape(groups)} vs {shape}")
 
-    def penalties(g):
-        val, sub = 0.0, np.zeros_like(g)
+    def evaluate(g):
+        """(objective, penalty subgradient, entropy gradient) at plan g."""
+        h, ent_grad = entropy(g)
+        pen, pen_sub = 0.0, np.zeros_like(g)
         if eta > 0:
-            v, s = group_sparse(g, classes)
-            val += eta * v
-            sub += eta * s
+            v, sub = group_sparse(g, classes)
+            pen += eta * v
+            pen_sub += eta * sub
         if tau > 0:
-            v, s = temporal_reg(g, same_order, hyper.order_mode)
-            val += tau * v
-            sub += tau * s
-        return val, sub
-
-    def objective(g):
-        h, _ = entropy(g)
-        return float((g * cost).sum()) + hyper.entropy_weight * h + penalties(g)[0]
+            v, sub = temporal_reg(g, same_order, hyper.order_mode)
+            pen += tau * v
+            pen_sub += tau * sub
+        return float((g * cost).sum()) + hyper.entropy_weight * h + pen, pen_sub, ent_grad
 
     gamma = np.outer(a, b)
-    obj = objective(gamma)
+    obj, pen_sub, ent_grad = evaluate(gamma)
     trace = [obj]
     worst_violation = _violation(gamma, a, b)
     converged = True
 
     direction = None
     for _ in range(hyper.gcg_iters):
-        _, pen_sub = penalties(gamma)
         if direction is None or eta > 0 or tau > 0:  # penalty-free: one cost, one solve
             direction = sinkhorn(a, b, cost + pen_sub, hyper.entropy_weight, hyper.sinkhorn_iters)
         worst_violation = max(worst_violation, direction.marginal_violation)
         converged = converged and direction.converged
         delta = direction.values - gamma
-        _, ent_grad = entropy(gamma)
         slope = float(((cost + hyper.entropy_weight * ent_grad + pen_sub) * delta).sum())
         if slope >= -1e-15:
             break
-        alpha, accepted = 1.0, False
-        for _ in range(30):
-            candidate_obj = objective(gamma + alpha * delta)
-            if candidate_obj <= obj + 1e-4 * alpha * slope:
-                accepted = True
+        for alpha in 0.5 ** np.arange(30.0):
+            candidate = gamma + alpha * delta
+            evaluation = evaluate(candidate)
+            if evaluation[0] <= obj + 1e-4 * alpha * slope:
                 break
-            alpha *= 0.5
-        if not accepted:
+        else:
             break
-        gamma = gamma + alpha * delta
-        previous, obj = obj, candidate_obj
+        gamma, (obj, pen_sub, ent_grad) = candidate, evaluation
         trace.append(obj)
-        if previous - obj < GCG_TOL * max(abs(previous), 1e-30):
+        if trace[-2] - obj < GCG_TOL * max(abs(trace[-2]), 1e-30):
             break
 
     # every iterate is a convex combination of feasible endpoints, so the

@@ -8,7 +8,7 @@ from trot.errors import (
     InsufficientDataError,
     TrotError,
 )
-from trot.hmm import TemporalAtlas, assign_dataset_states, build_atlas
+from trot.hmm import assign_dataset_states, build_atlas
 from trot.ot_core import Coupling
 
 from .conftest import make_atlas, make_dataset
@@ -22,15 +22,14 @@ class TestBarycentricMap:
     def test_scaled_identity_recovers_targets(self):
         src = make_atlas([[5, 5], [6, 6]], [0, 0], [1, 2])
         tgt = make_atlas([[0, 0], [2, 2]], [0, 0], [1, 2])
-        mapped = barycentric_map(coupling(0.5 * np.eye(2)), src, tgt)
-        assert mapped.mapped_means.tolist() == [[0, 0], [2, 2]]
-        assert (mapped.classes.tolist(), mapped.orders.tolist()) == ([0, 0], [1, 2])
+        displacement = barycentric_map(coupling(0.5 * np.eye(2)), src, tgt)
+        assert displacement.tolist() == [[-5, -5], [-4, -4]]
 
     def test_uniform_gives_barycenter(self):
         src = make_atlas([[0, 0], [1, 1]], [0, 0], [1, 2])
         tgt = make_atlas([[0, 0], [2, 2]], [0, 0], [1, 2])
-        mapped = barycentric_map(coupling(np.full((2, 2), 0.25)), src, tgt)
-        assert mapped.mapped_means.tolist() == [[1, 1], [1, 1]]
+        displacement = barycentric_map(coupling(np.full((2, 2), 0.25)), src, tgt)
+        assert (src.means + displacement).tolist() == [[1, 1], [1, 1]]
 
     def test_weighted_average_row(self):
         out = barycentric_project(np.array([[0.25, 0.75]]), np.array([[0.0, 0.0], [4.0, 0.0]]))
@@ -56,9 +55,8 @@ class TestBarycentricMap:
         # mass only on matching (class, order) pairs -> exact recovery
         src = make_atlas(rng.normal(0, 1, (4, 2)), [0, 0, 1, 1], [1, 2, 1, 2])
         tgt = make_atlas(rng.normal(5, 1, (4, 2)), [0, 0, 1, 1], [1, 2, 1, 2])
-        mapped = barycentric_map(coupling(np.eye(4) / 4), src, tgt)
-        assert np.allclose(mapped.mapped_means, tgt.means)
-        assert np.allclose(mapped.displacement, tgt.means - src.means)
+        displacement = barycentric_map(coupling(np.eye(4) / 4), src, tgt)
+        assert np.allclose(src.means + displacement, tgt.means)
 
 
 class TestTransformSamples:
@@ -66,13 +64,13 @@ class TestTransformSamples:
         feats = np.concatenate([rng.normal(0, 0.1, (6, 2)), rng.normal(4, 0.1, (6, 2))])
         ds = make_dataset(feats, labels=[0] * 6 + [1] * 6)
         atlas = build_atlas(ds, 2)
-        assignment = assign_dataset_states(ds, 2)
-        return ds, atlas, assignment
+        rows = assign_dataset_states(ds, 2)
+        return ds, atlas, rows
 
     def test_zero_displacement_is_identity(self, rng):
-        ds, atlas, assignment = self._setup(rng)
-        mapped = barycentric_map(coupling(np.eye(4) / 4), atlas, atlas)
-        out = transform_samples(ds, assignment, mapped)
+        ds, atlas, rows = self._setup(rng)
+        displacement = barycentric_map(coupling(np.eye(4) / 4), atlas, atlas)
+        out = transform_samples(ds, rows, displacement)
         assert np.allclose(out.features, ds.features)
 
     def test_single_state_uniform_shift(self, rng):
@@ -80,56 +78,55 @@ class TestTransformSamples:
         ds = make_dataset(feats, labels=[0] * 5)
         atlas = build_atlas(ds, 1)
         shifted = make_atlas(atlas.means + [1.0, 0.0, 0.0], [0], [1])
-        mapped = barycentric_map(coupling(np.array([[1.0]])), atlas, shifted)
-        out = transform_samples(ds, assign_dataset_states(ds, 1), mapped)
+        displacement = barycentric_map(coupling(np.array([[1.0]])), atlas, shifted)
+        out = transform_samples(ds, assign_dataset_states(ds, 1), displacement)
         assert np.allclose(out.features, feats + [1.0, 0.0, 0.0])
 
     def test_per_state_shift_oracle(self, rng):
-        # brute-force oracle: group windows by assigned state and compare
-        # group means before and after the transform
-        ds, atlas, assignment = self._setup(rng)
+        # brute-force oracle: group windows by (class, chain position) and
+        # compare group means before and after the transform
+        ds, atlas, rows = self._setup(rng)
         tgt = make_atlas(
             atlas.means + np.array([[1, 0], [2, 0], [0, 3], [0, 4]], dtype=float),
             atlas.classes,
             atlas.orders,
         )
-        mapped = barycentric_map(coupling(np.eye(4) / 4), atlas, tgt)
-        out = transform_samples(ds, assignment, mapped)
-        classes, orders = assignment
-        for i, (c, o) in enumerate(zip(mapped.classes, mapped.orders)):
-            members = (classes == c) & (orders == o)
+        displacement = barycentric_map(coupling(np.eye(4) / 4), atlas, tgt)
+        out = transform_samples(ds, rows, displacement)
+        orders = np.arange(12) % 6 % 2 + 1  # each class is one run of 6 windows
+        for i, (c, o) in enumerate(zip(atlas.classes, atlas.orders)):
+            members = (ds.labels == c) & (orders == o)
             before = ds.features[members].mean(axis=0)
             after = out.features[members].mean(axis=0)
-            assert np.allclose(after - before, mapped.displacement[i], atol=1e-12)
-
-    def test_states_out_of_canonical_order(self, rng):
-        # states are matched by value, not by position in the (class, order) layout
-        ds, atlas, assignment = self._setup(rng)
-        src = TemporalAtlas(
-            atlas.means[::-1], atlas.var[::-1], atlas.classes[::-1], atlas.orders[::-1]
-        )
-        tgt = make_atlas(src.means + np.arange(8.0).reshape(4, 2), src.classes, src.orders)
-        mapped = barycentric_map(coupling(np.eye(4) / 4), src, tgt)
-        out = transform_samples(ds, assignment, mapped)
-        for i, key in enumerate(zip(*assignment)):
-            row = np.flatnonzero((mapped.classes == key[0]) & (mapped.orders == key[1])).item()
-            shift = mapped.displacement[row]
-            assert np.array_equal(out.features[i], ds.features[i] + shift)
+            assert np.allclose(after - before, displacement[i], atol=1e-12)
 
     def test_preserves_count_order_labels(self, rng):
-        ds, atlas, assignment = self._setup(rng)
-        mapped = barycentric_map(coupling(np.eye(4) / 4), atlas, atlas)
-        out = transform_samples(ds, assignment, mapped)
+        ds, atlas, rows = self._setup(rng)
+        displacement = barycentric_map(coupling(np.eye(4) / 4), atlas, atlas)
+        out = transform_samples(ds, rows, displacement)
         assert len(out) == len(ds)
         assert np.array_equal(out.window_index, ds.window_index)
         assert np.array_equal(out.labels, ds.labels)
 
-    def test_unknown_state_raises(self, rng):
-        ds, atlas, assignment = self._setup(rng)
-        mapped = barycentric_map(coupling(np.eye(4) / 4), atlas, atlas)
-        classes, orders = assignment
-        with pytest.raises(TrotError, match="unknown state"):
-            transform_samples(ds, (classes, orders + 7), mapped)
+    @pytest.mark.parametrize("shift", [4, -1])
+    def test_row_outside_atlas_raises(self, rng, shift):
+        # numpy would wrap a row of -1 round to the last state
+        ds, atlas, rows = self._setup(rng)
+        displacement = barycentric_map(coupling(np.eye(4) / 4), atlas, atlas)
+        with pytest.raises(TrotError, match=f"row {rows[0] + shift} of a 4-state atlas"):
+            transform_samples(ds, rows + shift, displacement)
+
+    def test_rows_of_another_length_raise(self, rng):
+        # one row would otherwise broadcast to every window
+        ds, atlas, rows = self._setup(rng)
+        displacement = barycentric_map(coupling(np.eye(4) / 4), atlas, atlas)
+        with pytest.raises(DimensionMismatchError, match=r"rows \(1,\)"):
+            transform_samples(ds, rows[:1], displacement)
+
+    def test_displacement_of_another_dimension_raises(self, rng):
+        ds, _, rows = self._setup(rng)
+        with pytest.raises(DimensionMismatchError, match=r"displacement \(4, 1\)"):
+            transform_samples(ds, rows, np.ones((4, 1)))
 
 
 class TestCoral:

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from unittest import mock
 
@@ -142,6 +143,11 @@ class TestKnn:
         assert labels.shape == (n_query,)
         assert labels.tolist() == pairwise_sq_dists(query, train).argmin(axis=1).tolist()
         assert labels.tolist() == [int((train == train[i]).all(axis=1).argmax()) for i in labels]
+
+    def test_far_from_the_origin(self):
+        # the unshifted expansion put the query at distance 0 from both rows
+        train = make_dataset([[1e8], [1e8 + 1]], labels=[3, 4])
+        assert knn1_classify(train, make_dataset([[1e8 + 0.9]])).tolist() == [4]
 
     def test_empty_query(self):
         train = make_dataset([[0.0, 1.0], [1.0, 0.0]], labels=[3, 4])
@@ -364,6 +370,14 @@ class TestRunMatrix:
         r1 = run_matrix(users, methods=["na", "trot"], grids=grids, seed=3)
         r2 = run_matrix(users, methods=["na", "trot"], grids=grids, seed=3)
         assert matrix_to_json(r1) == matrix_to_json(r2)
+
+    def test_numpy_grid_serializes(self):
+        # an n_states from np.arange once ran the whole matrix, then failed
+        # in matrix_to_json: "Object of type int64 is not JSON serializable"
+        grid = tuple(TrotHyperparams(entropy_weight=1.0, n_states=n) for n in np.arange(2, 3))
+        report = run_matrix(dict(zip("st", tiny_pair())), methods=["trot"], grids={"trot": grid})
+        tasks = json.loads(matrix_to_json(report))["tasks"]
+        assert [(t["status"], t["chosen_hyper"]["n_states"]) for t in tasks] == [("ok", 2)] * 2
 
     def test_missing_user_skipped(self, tmp_path):
         from trot.preprocess import save_features

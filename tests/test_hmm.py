@@ -197,6 +197,16 @@ def reference_assign_dataset_states(dataset, n_states, mode):
     return dataset.labels.copy(), orders
 
 
+def reference_atlas_rows(dataset, n_states, mode):
+    """Each window's atlas row, found by matching its (class, order) pair
+    against the reference atlas's."""
+    window_classes, window_orders = reference_assign_dataset_states(dataset, n_states, mode)
+    _, _, classes, orders = reference_build_atlas(dataset, n_states, mode)
+    match = (window_classes[:, None] == classes) & (window_orders[:, None] == orders)
+    assert match.sum(axis=1).tolist() == [1] * len(dataset)
+    return match.argmax(axis=1)
+
+
 @st.composite
 def labelled_streams(draw):
     """Small labelled streams: 1-4 classes of 1-12 windows each, laid out in
@@ -439,11 +449,11 @@ class TestBuildAtlas:
         feats = rng.normal(0, 1, (24, 2))
         labels = np.repeat([0, 1], 12)
         ds = make_dataset(feats, labels)
-        classes, orders = assign_dataset_states(ds, 3)
-        assert set(zip(classes.tolist(), orders.tolist())) == {
-            (c, o) for c in (0, 1) for o in (1, 2, 3)
-        }
-        assert orders.min() == 1 and orders.max() == 3
+        atlas = build_atlas(ds, 3)
+        rows = assign_dataset_states(ds, 3)
+        assert rows.tolist() == [0, 1, 2] * 4 + [3, 4, 5] * 4
+        assert np.array_equal(atlas.classes[rows], labels)
+        assert np.array_equal(atlas.orders[rows], np.arange(24) % 3 + 1)
 
 
 class TestMatchesListReference:
@@ -472,5 +482,5 @@ class TestMatchesListReference:
         )
         assert_same_outcome(
             outcome(assign_dataset_states, dataset, n_states, mode),
-            outcome(reference_assign_dataset_states, dataset, n_states, mode),
+            outcome(reference_atlas_rows, dataset, n_states, mode),
         )

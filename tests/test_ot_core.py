@@ -788,6 +788,48 @@ class TestGcg:
             resolved.iterations, resolved.converged, resolved.marginal_violation
         )
 
+    def test_evaluates_each_plan_once(self, monkeypatch, rng):
+        # entropy is taken at the start and at each line-search trial, and
+        # the accepted trial's evaluation is kept for the next linearization:
+        # 1 + (trials) calls, none of them at a plan already evaluated
+        src = make_atlas(rng.uniform(0, 0.5, (8, 2)), [0] * 4 + [1] * 4, [1, 2, 3, 4] * 2)
+        tgt = make_atlas(rng.uniform(0, 0.5, (8, 2)), [0] * 4 + [1] * 4, [1, 2, 3, 4] * 2)
+        hyper = TrotHyperparams(entropy_weight=0.1, group_weight=0.1, order_weight=1.0)
+        plans = []
+        original = ot_core.entropy
+
+        def recorded(gamma):
+            plans.append(np.array(gamma))
+            return original(gamma)
+
+        monkeypatch.setattr(ot_core, "entropy", recorded)
+        coup, trace = gcg_solve(
+            src.weights, tgt.weights, cost_matrix(src, tgt), hyper,
+            src.classes, same_order_mask(src, tgt),
+        )
+        assert len(trace) > 2
+        assert np.array_equal(plans[0], np.outer(src.weights, tgt.weights))
+        assert len({plan.tobytes() for plan in plans}) == len(plans)
+        assert sum(np.array_equal(plan, coup.values) for plan in plans) == 1
+
+    @pytest.mark.parametrize(
+        "classes, same_order",
+        [
+            (np.zeros((1, 3)), None),  # once accepted
+            (np.zeros(4), None),  # once numpy's matmul ValueError
+            (None, np.ones((1, 4), dtype=bool)),  # once broadcast, solved as converged
+            (None, np.ones(4, dtype=bool)),  # likewise
+        ],
+    )
+    def test_rejects_mis_shaped_groups(self, rng, classes, same_order):
+        a, b = np.full(3, 1 / 3), np.full(4, 1 / 4)
+        hyper = TrotHyperparams(group_weight=1.0, order_weight=1.0)
+        bad = "classes" if classes is not None else "same_order"
+        classes = np.zeros(3) if classes is None else classes
+        same_order = np.ones((3, 4), dtype=bool) if same_order is None else same_order
+        with pytest.raises(DimensionMismatchError, match=f"{bad} "):
+            gcg_solve(a, b, rng.uniform(size=(3, 4)), hyper, classes, same_order)
+
     def test_requires_groups_for_weights(self):
         a = b = np.full(2, 0.5)
         with pytest.raises(ValueError):
@@ -856,6 +898,20 @@ class TestHyperparams:
         with pytest.raises(ValueError, match="n_states must be >= 1"):
             TrotHyperparams(n_states=n_states)
 
+    def test_stores_plain_numbers(self):
+        hyper = TrotHyperparams(
+            entropy_weight=np.float32(0.5), group_weight=np.int64(1),
+            order_weight=np.float64(0.1), n_states=np.int64(2),
+        )
+        assert [type(v) for v in hyper.to_dict().values()] == [float, float, float, str, int]
+        assert hyper.to_dict()["entropy_weight"] == 0.5 and hyper.n_states == 2
+
+    @pytest.mark.parametrize("n_states", [2.5, np.float64(3.5), float("inf"), float("nan")])
+    def test_n_states_integral(self, n_states):
+        # 2.5 once escaped run_task as a TypeError
+        with pytest.raises(ValueError, match="n_states must be an integer"):
+            TrotHyperparams(n_states=n_states)
+
 
 def test_pairwise_sq_dists_matches_direct(rng):
     x, y = rng.normal(0, 1, (6, 3)), rng.normal(0, 1, (4, 3))
@@ -869,3 +925,10 @@ def test_rows_must_be_2d(fn, x, y):
     # 1-D rows once raised IndexError: tuple index out of range
     with pytest.raises(DimensionMismatchError, match="2-D"):
         fn(x, y)
+
+
+def test_distances_far_from_the_origin():
+    # the unshifted expansion |x|^2 + |y|^2 - 2 x.y gave [[0, 0]] and row 0
+    x, y = np.array([[1e8 + 0.9]]), np.array([[1e8], [1e8 + 1]])
+    assert np.allclose(pairwise_sq_dists(x, y), [[0.81, 0.01]], atol=1e-6)
+    assert ot_core.nearest_rows(x, y).tolist() == [1]
