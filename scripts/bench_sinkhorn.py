@@ -12,8 +12,9 @@ adversarial-shift pairs (4 classes, 4 states, 2 features, noise 0.1):
 `benchmark` problems use data seeds 1-5 of `perfbench` runs (the
 `trot_adapt` and `window_ot` pairs); `criterion7` problems use data seed 11,
 the pair of acceptance criterion 7.  Each problem is solved by
-`trot.ot_core.sinkhorn` at entropy weights 0.01, 0.1 and 1 with the
-pipeline's budget (10,000 iterations, tolerance 1e-9).  A spy on
+`trot.ot_core.sinkhorn` at entropy weights 0.01, 0.1 and 1 on its
+default iteration budget and tolerance, which every pipeline solve
+uses (gcg_solve's directions and ot's plan pass neither).  A spy on
 `_newton_sinkhorn`, which every solve calls (the measured tree must call
 it so too), splits the reported iterations into scaling-form iterations
 and Newton steps; `seconds` is the fastest of `REPEATS` solves.

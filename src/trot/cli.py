@@ -13,7 +13,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import TrotError
-from .harness import METHODS, TaskSpec, default_grid, matrix_to_json, render_table, run_matrix, run_task
+from .harness import (
+    GRID_METHODS, METHODS, TaskSpec, default_grid, matrix_to_json, render_table, run_matrix, run_task,
+)
 from .ot_core import TrotHyperparams
 from .preprocess import build_features, load_features, load_recording, save_features
 from .synth import SynthSpec, adversarial_user_shift, generate_user
@@ -36,19 +38,15 @@ def _cmd_preprocess(args) -> int:
 
 
 def _adapt_grid(args):
-    explicit = any(
-        getattr(args, name) is not None for name in ("entropy_weight", "group_weight", "order_weight")
-    )
-    if explicit:
-        return (
-            TrotHyperparams(
-                entropy_weight=args.entropy_weight if args.entropy_weight is not None else 0.1,
-                group_weight=args.group_weight or 0.0,
-                order_weight=args.order_weight or 0.0,
-                order_mode=args.order_mode,
-                n_states=args.states,
-            ),
-        )
+    """One setting of the --lambda/--eta/--tau given (TrotHyperparams' defaults
+    for the rest), or the method's default grid when none is given."""
+    given = {
+        name: getattr(args, name)
+        for name in ("entropy_weight", "group_weight", "order_weight")
+        if getattr(args, name) is not None
+    }
+    if given:
+        return (TrotHyperparams(**given, order_mode=args.order_mode, n_states=args.states),)
     grid = default_grid(args.method)
     if args.method == "trot":
         # the 36 (lambda, eta, tau) points of the default grid at --states and --order-mode
@@ -63,7 +61,7 @@ def _adapt_grid(args):
 def _cmd_adapt(args) -> int:
     source = load_features(args.source)
     target = load_features(args.target)
-    grid = None if args.method in ("na", "td", "coral") else _adapt_grid(args)
+    grid = _adapt_grid(args) if args.method in GRID_METHODS else None
     spec = TaskSpec(source.user_id, target.user_id, args.method, grid, args.seed)
     report = run_task(spec, source, target)
     payload = report.to_dict(include_timing=True)

@@ -14,7 +14,7 @@ import functools
 import json
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import product
 from pathlib import Path
 
@@ -35,6 +35,7 @@ from .ot_core import (
 from .preprocess import FeatureDataset, fit_maxabs, load_features, maxabs_fit_apply
 
 METHODS = ("na", "td", "ot", "otda", "coral", "trot")
+GRID_METHODS = ("ot", "otda", "trot")  # the methods that search a TrotHyperparams grid
 MAX_COUPLING_WINDOWS = 500  # window-level baselines subsample beyond this
 
 DEFAULT_ENTROPY_GRID = (0.01, 0.1, 1.0)
@@ -62,13 +63,16 @@ class TaskSpec:
             raise ValueError("source and target user must differ (except for td)")
         if self.hyper_grid is not None:
             object.__setattr__(self, "hyper_grid", tuple(self.hyper_grid))
-            if method in ("ot", "otda", "trot") and not all(
+            if method in GRID_METHODS and not all(
                 isinstance(hyper, TrotHyperparams) for hyper in self.hyper_grid
             ):
                 raise ValueError(f"{method} grid entries must be TrotHyperparams")
         for name in {"ot": ("group_weight", "order_weight"), "otda": ("order_weight",)}.get(method, ()):
             if any(getattr(hyper, name) > 0 for hyper in self.hyper_grid or ()):
                 raise ValueError(f"{method} does not take {name} > 0")
+        # checked here so a matrix fails before any task, not at its first ot task
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass
@@ -92,7 +96,7 @@ class AdaptReport:
             "method": self.task.method,
             "status": "ok" if self.error is None else "failed",
             "error": self.error,
-            "chosen_hyper": None if self.chosen_hyper is None else self.chosen_hyper.to_dict(),
+            "chosen_hyper": None if self.chosen_hyper is None else asdict(self.chosen_hyper),
             "validation_accuracy": self.validation_accuracy,
             "test_accuracy": self.test_accuracy,
             "objective_trace": None
@@ -188,7 +192,7 @@ def _solver(method: str, source: FeatureDataset, validation: FeatureDataset, see
 
         def solve_ot(hyper):
             if method == "ot":
-                coupling, trace = sinkhorn(a, b, cost, hyper.entropy_weight, hyper.sinkhorn_iters), None
+                coupling, trace = sinkhorn(a, b, cost, hyper.entropy_weight), None
             else:
                 coupling, trace = gcg_solve(a, b, cost, hyper, src_sub.labels)
             transported = barycentric_project(coupling.values, tgt_sub.features)
@@ -333,7 +337,7 @@ def run_matrix(
     return {
         "users": users,
         "methods": methods,
-        "seed": seed,
+        "seed": int(seed),  # checked by TaskSpec; plain, so a numpy seed serializes
         "skipped": sorted(skipped),
         "tasks": tasks,
         "table": table,

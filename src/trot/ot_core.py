@@ -31,7 +31,7 @@ range.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -44,17 +44,19 @@ if TYPE_CHECKING:
 ENTROPY_GRAD_FLOOR = -745.0  # log of the smallest positive double
 SCALING_MIN, SCALING_MAX = 1e-150, 1e150  # sinkhorn scalings kept in range
 GCG_TOL = 1e-7  # relative objective decrease below which gcg_solve stops
+GCG_MAX_ITERS = 20  # conditional-gradient steps gcg_solve takes at most
 NEWTON_SHIFT = 1e-3  # Newton's Hessian shift per unit of marginal violation
 NEAREST_BLOCK_CELLS = 1 << 16  # cells of each distance buffer nearest_rows reuses
 
 
 @dataclass
 class TrotHyperparams:
-    """Solver weights and iteration budgets.
+    """One grid point: the solver weights and the HMM chain length.
 
     `order_mode` picks which column set the temporal penalty norms: "mismatched"
     (default) penalizes mass on order-violating columns, "matched" applies the
-    group norm to same-order columns instead.
+    group norm to same-order columns instead.  Iteration budgets belong to
+    the solvers: `sinkhorn`'s `max_iters` default and `GCG_MAX_ITERS`.
     """
 
     entropy_weight: float = 0.1
@@ -62,8 +64,6 @@ class TrotHyperparams:
     order_weight: float = 0.0
     order_mode: str = "mismatched"
     n_states: int = 4
-    sinkhorn_iters: int = 10_000
-    gcg_iters: int = 20
 
     def __post_init__(self):
         if not float(self.n_states).is_integer():
@@ -80,11 +80,6 @@ class TrotHyperparams:
             raise ValueError(f"unknown order_mode {self.order_mode!r}")
         if self.n_states < 1:
             raise ValueError("n_states must be >= 1")
-        if self.sinkhorn_iters < 1 or self.gcg_iters < 1:
-            raise ValueError("sinkhorn_iters and gcg_iters must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if k not in ("sinkhorn_iters", "gcg_iters")}
 
 
 @dataclass
@@ -266,11 +261,11 @@ def sinkhorn(
     exp(-cost / entropy_weight + u + v) at the final duals u, v.
 
     Iterates until the worst marginal deviation falls below `tol` (finite,
-    >= 0) or the `max_iters` budget (>= 1) runs out (then the achieved
-    violation is reported with `converged=False`).  `entropy_weight` must
-    be finite and > 0.  A cost of the wrong shape raises
-    `DimensionMismatchError`; a NaN or -inf cost, or a row or column with
-    no finite cost, raises `NumericalFailureError` before any iteration.
+    >= 0) or the `max_iters` budget (an integer >= 1) runs out (then the
+    achieved violation is reported with `converged=False`).
+    `entropy_weight` must be finite and > 0.  A cost of the wrong shape
+    raises `DimensionMismatchError`; a NaN or -inf cost, or a row or column
+    with no finite cost, raises `NumericalFailureError` before any iteration.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -279,8 +274,8 @@ def sinkhorn(
         raise ValueError("entropy_weight must be finite and > 0")
     if not 0 <= tol < np.inf:
         raise ValueError("tol must be finite and >= 0")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
+    if not (float(max_iters).is_integer() and max_iters >= 1):
+        raise ValueError("max_iters must be an integer >= 1")
     log_k = -_checked_cost(cost, a, b) / entropy_weight
     finite = np.isfinite(log_k)
     if not finite.all():
@@ -462,13 +457,14 @@ def gcg_solve(
     shape raises `DimensionMismatchError`.
 
     Each iteration linearizes the group penalties at the current plan, solves
-    the entropic subproblem on the shifted cost, then backtracks (Armijo,
-    sufficient decrease 1e-4, factor 0.5, up to 30 halvings) along the
-    feasible segment.  Stops when the relative objective decrease drops
-    below `GCG_TOL` or no descent direction remains.  Without penalties
-    (both weights 0) every subproblem has the same cost, so its Sinkhorn
-    solve is done once and reused.  Each trial point is evaluated once, and
-    the accepted one's gradients are what the next iteration linearizes.
+    the entropic subproblem on the shifted cost (`sinkhorn` on its default
+    budget), then backtracks (Armijo, sufficient decrease 1e-4, factor 0.5,
+    up to 30 halvings) along the feasible segment.  Stops when the relative
+    objective decrease drops below `GCG_TOL`, when no descent direction
+    remains, or after `GCG_MAX_ITERS` steps.  Without penalties (both
+    weights 0) every subproblem has the same cost, so its Sinkhorn solve is
+    done once and reused.  Each trial point is evaluated once, and the
+    accepted one's gradients are what the next iteration linearizes.
 
     Returns the final coupling and the objective value per accepted iterate.
     The coupling is flagged `converged` only when every Sinkhorn direction
@@ -508,9 +504,9 @@ def gcg_solve(
     converged = True
 
     direction = None
-    for _ in range(hyper.gcg_iters):
+    for _ in range(GCG_MAX_ITERS):
         if direction is None or eta > 0 or tau > 0:  # penalty-free: one cost, one solve
-            direction = sinkhorn(a, b, cost + pen_sub, hyper.entropy_weight, hyper.sinkhorn_iters)
+            direction = sinkhorn(a, b, cost + pen_sub, hyper.entropy_weight)
         worst_violation = max(worst_violation, direction.marginal_violation)
         converged = converged and direction.converged
         delta = direction.values - gamma

@@ -46,6 +46,7 @@ class Recording:
             raise ValueError("channels must be (n_samples, 6)")
         if len(self.labels) != len(self.channels) or len(self.labels) < 1:
             raise ValueError("labels must match channel length (>= 1)")
+        object.__setattr__(self, "labels", _int_array(self.labels, "label"))
 
     def __len__(self):
         return len(self.channels)
@@ -82,9 +83,9 @@ class FeatureDataset:
             )
         if not np.all(np.isfinite(self.features)):
             raise InvalidSampleError("invalid sample: non-finite feature")
-        self.window_index = np.asarray(self.window_index, dtype=int)
+        self.window_index = _int_array(self.window_index, "window_index")
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=int)
+            self.labels = _int_array(self.labels, "label")
             if len(self.labels) != len(self.features):
                 raise ValueError("labels length mismatch")
         if len(self.window_index) != len(self.features):
@@ -107,7 +108,7 @@ class FeatureDataset:
         )
 
     def with_labels(self, labels) -> "FeatureDataset":
-        return replace(self, labels=np.asarray(labels, dtype=int))
+        return replace(self, labels=labels)
 
 
 def magnitude(x, y, z):
@@ -310,6 +311,14 @@ def _read_csv(path: Path, header_ok) -> np.ndarray:
 def _integral(x: np.ndarray) -> bool:
     """True when every value is a finite integer that fits in int64."""
     return bool(np.all((np.trunc(x) == x) & (np.abs(x) < 2.0**63)))
+
+
+def _int_array(values, name: str) -> np.ndarray:
+    """`values` as an int array; values of a non-integer dtype must pass `_integral`."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu" and not _integral(values):
+        raise InvalidSampleError(f"invalid sample: non-integral {name}")
+    return values.astype(int, copy=False)
 
 
 def load_recording(path, sample_rate: float, user_id: str | None = None) -> Recording:

@@ -296,17 +296,13 @@ def test_criterion_8_protocol_integrity():
     for i in range(3):
         shift = None if i == 0 else adversarial_user_shift(spec, scale=float(i))
         users[f"u{i}"], _ = generate_user(spec, shift, f"u{i}", rng)
-    # protocol check, not a tolerance check: smaller iteration budgets
     grids = {
         "trot": tuple(
-            TrotHyperparams(entropy_weight=lam, order_weight=tau, n_states=2,
-                            sinkhorn_iters=2000, gcg_iters=10)
+            TrotHyperparams(entropy_weight=lam, order_weight=tau, n_states=2)
             for lam in (0.01, 0.1) for tau in (0.0, 10.0)
         ),
         "otda": tuple(
-            TrotHyperparams(entropy_weight=0.1, group_weight=eta,
-                            sinkhorn_iters=2000, gcg_iters=10)
-            for eta in (0.0, 0.1)
+            TrotHyperparams(entropy_weight=0.1, group_weight=eta) for eta in (0.0, 0.1)
         ),
         "ot": (TrotHyperparams(entropy_weight=0.1),),
     }

@@ -7,6 +7,7 @@ import pytest
 
 from trot.cli import _adapt_grid, build_parser, main
 from trot.harness import default_grid
+from trot.ot_core import TrotHyperparams
 from trot.preprocess import load_features
 
 
@@ -80,6 +81,13 @@ def test_default_trot_grid_follows_states_and_order_mode():
     assert grid == tuple(replace(h, n_states=3, order_mode="matched") for h in default)
 
 
+def test_given_weights_pin_one_setting_on_the_other_defaults():
+    assert _adapt_grid_for("--eta", "0.5") == (TrotHyperparams(group_weight=0.5, n_states=4),)
+    assert _adapt_grid_for("--method", "ot", "--lambda", "1", "--states", "2") == (
+        TrotHyperparams(entropy_weight=1.0, n_states=2),
+    )
+
+
 def test_synth_adapt_matrix_roundtrip(tmp_path, capsys):
     data = tmp_path / "synth"
     assert main(["synth", "--classes", "2", "--states", "2", "--windows", "24",
@@ -126,6 +134,7 @@ def test_error_exit_emits_json(tmp_path, capsys):
         (["--method", "otda", "--lambda", "0.1", "--eta", "nan"],
          "regularizer weights must be finite and >= 0"),
         (["--lambda", "inf"], "entropy_weight must be finite and > 0"),  # once only warned
+        (["--method", "na", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
     ],
 )
 def test_adapt_rejects_unusable_setting(tmp_path, capsys, flags, message):

@@ -1,5 +1,6 @@
+import functools
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 from unittest import mock
 
 import numpy as np
@@ -67,7 +68,7 @@ def reference_fit_method(method, hyper, source, validation, seed):
         a = np.full(len(src_sub), 1.0 / len(src_sub))
         b = np.full(len(tgt_sub), 1.0 / len(tgt_sub))
         if method == "ot":
-            coupling = sinkhorn(a, b, cost, hyper.entropy_weight, hyper.sinkhorn_iters)
+            coupling = sinkhorn(a, b, cost, hyper.entropy_weight)
             trace = None
         else:
             coupling, trace = gcg_solve(a, b, cost, hyper, src_sub.labels)
@@ -211,18 +212,30 @@ class TestRunTask:
             ("ot", (TrotHyperparams(entropy_weight=0.1),), True),
             ("otda", (TrotHyperparams(entropy_weight=0.1, group_weight=0.1),), True),
             ("trot", TROT_GRID, True),
-            ("ot", (TrotHyperparams(entropy_weight=1e-4, sinkhorn_iters=3),), False),
-            ("otda", (TrotHyperparams(entropy_weight=1e-4, group_weight=0.1, sinkhorn_iters=3),), False),
+            ("ot", (TrotHyperparams(entropy_weight=1e-4),), False),
+            ("otda", (TrotHyperparams(entropy_weight=1e-4, group_weight=0.1),), False),
         ],
     )
-    def test_report_carries_selected_solve_converged(self, method, grid, converged):
+    def test_report_carries_selected_solve_converged(self, monkeypatch, method, grid, converged):
         # an unconverged transport solve once gave a report like a converged one
+        if converged is False:  # starve every Sinkhorn solve of its budget
+            starved = functools.partial(sinkhorn, max_iters=3)
+            monkeypatch.setattr(ot_core, "sinkhorn", starved)
+            monkeypatch.setattr(harness, "sinkhorn", starved)
         source, target = tiny_pair()
         spec = TaskSpec("t" if method == "td" else "s", "t", method, grid)
         report = run_task(spec, source, target)
         assert report.error is None
         assert report.converged is converged
         assert report.to_dict()["converged"] is converged
+
+    @pytest.mark.parametrize("method", ["ot", "otda", "trot"])
+    def test_report_holds_the_whole_grid_point(self, method):
+        # the report once left out two fields of the setting it ran
+        source, target = tiny_pair()
+        grid = (TrotHyperparams(entropy_weight=1.0, n_states=2),)
+        report = run_task(TaskSpec("s", "t", method, grid), source, target)
+        assert report.to_dict()["chosen_hyper"] == asdict(report.chosen_hyper)
 
     def test_same_user_rejected_except_td(self):
         with pytest.raises(ValueError):
@@ -405,6 +418,20 @@ class TestRunMatrix:
         with pytest.raises(TrotError, match=message):
             run_matrix(self._three_users(), methods=methods)
         assert ran == []
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+    def test_rejects_bad_seed_before_any_task(self, monkeypatch, seed):
+        # -1 once ran the na tasks, then raised numpy's ValueError at the
+        # first ot task and lost the matrix (1.5 and "3": TypeError)
+        ran = []
+        monkeypatch.setattr(harness, "run_task", lambda *args: ran.append(args))
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            run_matrix(dict(zip("st", tiny_pair())), methods=["na", "ot"], seed=seed)
+        assert ran == []
+
+    def test_numpy_seed_serializes(self):
+        report = run_matrix(dict(zip("st", tiny_pair())), methods=["na"], seed=np.int64(3))
+        assert json.loads(matrix_to_json(report))["seed"] == 3
 
     def test_rejects_bad_grid_before_any_task(self, monkeypatch):
         # otda at a nonzero order weight once raised ValueError mid-matrix, and

@@ -1,3 +1,5 @@
+import functools
+from dataclasses import asdict
 from itertools import permutations
 from unittest import mock
 
@@ -655,8 +657,12 @@ class TestSinkhorn:
                 gcg_solve(a, b, cost, TrotHyperparams())
 
     def test_rejects_empty_budget(self):
-        with pytest.raises(ValueError, match="max_iters"):
-            sinkhorn(np.full(2, 0.5), np.full(2, 0.5), np.zeros((2, 2)), 0.1, max_iters=0)
+        # 2.5 once ran 5 iterations flagged converged: the scaling stage's
+        # `it == max_iters` was never true; NaN and inf passed `< 1`
+        cost = np.random.default_rng(0).uniform(size=(8, 8))
+        for max_iters in (0, 2.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="max_iters"):
+                sinkhorn(np.full(8, 1 / 8), np.full(8, 1 / 8), cost, 1.0, max_iters=max_iters)
 
     @pytest.mark.parametrize("entropy_weight", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_bad_entropy_weight(self, entropy_weight):
@@ -749,11 +755,22 @@ class TestGcg:
         assert np.all(np.diff(trace) <= 1e-12)
         assert coup.marginal_violation <= 1e-6
 
-    def test_unconverged_directions_flagged(self, rng):
+    def test_unconverged_directions_flagged(self, rng, monkeypatch):
+        monkeypatch.setattr(ot_core, "sinkhorn", functools.partial(sinkhorn, max_iters=3))
         cost = rng.uniform(size=(8, 8))
-        hyper = TrotHyperparams(entropy_weight=1e-4, sinkhorn_iters=3)
+        hyper = TrotHyperparams(entropy_weight=1e-4)
         coup, _ = gcg_solve(np.full(8, 1 / 8), np.full(8, 1 / 8), cost, hyper)
         assert not coup.converged
+
+    def test_stops_after_max_iters(self, rng, monkeypatch):
+        cost = rng.uniform(size=(8, 8))
+        hyper = TrotHyperparams(entropy_weight=0.1, group_weight=1.0)
+        classes = np.repeat([0, 1], 4)
+        full, full_trace = gcg_solve(np.full(8, 1 / 8), np.full(8, 1 / 8), cost, hyper, classes)
+        assert full.iterations > 2
+        monkeypatch.setattr(ot_core, "GCG_MAX_ITERS", 2)
+        short, trace = gcg_solve(np.full(8, 1 / 8), np.full(8, 1 / 8), cost, hyper, classes)
+        assert short.iterations == 2 and np.array_equal(trace, full_trace[:3])
 
     def test_converged_directions_flagged(self, rng):
         # the construction of acceptance criterion 3
@@ -883,15 +900,6 @@ class TestHyperparams:
         with pytest.raises(ValueError, match="finite"):
             TrotHyperparams(**weights)
 
-    @pytest.mark.parametrize(
-        "budget", [{"sinkhorn_iters": 0}, {"sinkhorn_iters": -5}, {"gcg_iters": 0}, {"gcg_iters": -1}]
-    )
-    def test_iteration_budgets_positive(self, budget):
-        # gcg_iters=0 once returned outer(a, b) flagged converged, and
-        # sinkhorn_iters=0 the raw kernel, both without solving anything
-        with pytest.raises(ValueError, match="must be >= 1"):
-            TrotHyperparams(**budget)
-
     @pytest.mark.parametrize("n_states", [0, -1])
     def test_n_states_positive(self, n_states):
         # 0 once died in pairwise_sq_dists, -1 in numpy's array constructor
@@ -903,8 +911,8 @@ class TestHyperparams:
             entropy_weight=np.float32(0.5), group_weight=np.int64(1),
             order_weight=np.float64(0.1), n_states=np.int64(2),
         )
-        assert [type(v) for v in hyper.to_dict().values()] == [float, float, float, str, int]
-        assert hyper.to_dict()["entropy_weight"] == 0.5 and hyper.n_states == 2
+        assert [type(v) for v in asdict(hyper).values()] == [float, float, float, str, int]
+        assert asdict(hyper)["entropy_weight"] == 0.5 and hyper.n_states == 2
 
     @pytest.mark.parametrize("n_states", [2.5, np.float64(3.5), float("inf"), float("nan")])
     def test_n_states_integral(self, n_states):

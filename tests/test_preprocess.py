@@ -630,6 +630,30 @@ class TestPipelineAndIO:
         with pytest.raises(InvalidSampleError, match="non-finite"):
             FeatureDataset(features, None, np.arange(4))
 
+    @pytest.mark.parametrize("labels", [[0.5, 1.7, 2.2], [0.0, np.nan, 2.0]])
+    def test_in_memory_labels_must_be_integral(self, labels):
+        # [0.5, 1.7, 2.2] was once truncated to [0, 1, 2]; the CSV loader rejects such labels
+        with pytest.raises(InvalidSampleError, match="non-integral label"):
+            FeatureDataset(np.zeros((3, 2)), labels, np.arange(3))
+        with pytest.raises(InvalidSampleError, match="non-integral label"):
+            make_dataset(np.zeros((3, 2)), labels=[0, 1, 2]).with_labels(labels)
+
+    def test_in_memory_window_index_must_be_integral(self):
+        # [0.2, 1.9, 2.5] was once truncated to [0, 1, 2]
+        with pytest.raises(InvalidSampleError, match="non-integral window_index"):
+            FeatureDataset(np.zeros((3, 2)), [0, 1, 2], [0.2, 1.9, 2.5])
+
+    def test_in_memory_integral_floats_accepted(self):
+        dataset = FeatureDataset(np.zeros((2, 2)), [0.0, -3.0], np.array([1.0, 4.0]))
+        assert dataset.labels.tolist() == [0, -3] and dataset.labels.dtype == int
+        assert dataset.window_index.tolist() == [1, 4] and dataset.window_index.dtype == int
+
+    def test_recording_labels_must_be_integral(self):
+        # 0.2 and 0.5 were once both truncated to activity 0 by segment
+        with pytest.raises(InvalidSampleError, match="non-integral label"):
+            Recording(30.0, np.zeros((2, 6)), np.array([0.2, 0.5]))
+        assert Recording(30.0, np.zeros((2, 6)), np.array([1.0, 0.0])).labels.tolist() == [1, 0]
+
     def test_fit_maxabs_empty(self):
         with pytest.raises(InsufficientDataError):
             fit_maxabs(make_dataset(np.zeros((0, 3))))

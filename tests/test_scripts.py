@@ -1,0 +1,56 @@
+"""The measurement scripts still run against the trot API.
+
+`scripts/bench_knn.py` and `scripts/bench_sinkhorn.py` write the
+`BENCH_*.json` files that speed claims cite.  `bench_sinkhorn.solve` spies
+on `ot_core._newton_sinkhorn` and reads its arguments by position, so a
+change there would otherwise only show up when someone re-records.  Each
+script is loaded by path, at tiny sizes; both set the BLAS thread variables
+when imported, so the environment is restored afterwards.
+"""
+
+import importlib.util
+import os
+from pathlib import Path
+from unittest import mock
+
+import pytest
+
+from trot import ot_core
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(f"scripts_{name}", SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(os.environ):
+        spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def bench_knn():
+    return load_script("bench_knn")
+
+
+@pytest.fixture(scope="module")
+def bench_sinkhorn():
+    return load_script("bench_sinkhorn")
+
+
+def test_bench_knn_measures(bench_knn, monkeypatch):
+    monkeypatch.setattr(bench_knn, "CALLS", 2)
+    record = bench_knn.measure(*bench_knn.datasets(10, 20, 2))
+    assert set(record) == {"ms_per_call", "minflt_per_call", "labels_sha1"}
+    assert record["ms_per_call"] >= 0 and len(record["labels_sha1"]) == 40
+
+
+def test_bench_sinkhorn_splits_iterations(bench_sinkhorn, monkeypatch):
+    monkeypatch.setattr(bench_sinkhorn, "REPEATS", 1)
+    a, b, cost = bench_sinkhorn.atlas_problem(20, 1)
+    solved = ot_core.sinkhorn(a, b, cost, 0.01)
+    record = bench_sinkhorn.solve(a, b, cost, 0.01)
+    assert set(record) == {"scaling_iters", "newton_steps", "seconds", "converged", "violation"}
+    assert record["scaling_iters"] + record["newton_steps"] == solved.iterations
+    assert record["converged"] is solved.converged
+    assert ot_core._newton_sinkhorn.__name__ == "_newton_sinkhorn"  # the spy is removed
