@@ -71,8 +71,8 @@ def atlas_problem(windows_per_class, seed):
     from trot.ot_core import cost_matrix
 
     source, validation = _pair(windows_per_class, seed)
-    src = build_atlas(source, 4)
-    tgt = build_atlas(validation.with_labels(knn1_classify(source, validation)), 4)
+    src, _ = build_atlas(source, 4)
+    tgt, _ = build_atlas(validation.with_labels(knn1_classify(source, validation)), 4)
     return src.weights, tgt.weights, cost_matrix(src, tgt)
 
 

@@ -18,7 +18,6 @@ from .hmm import (
     ActivityHMM,
     TemporalAtlas,
     assign_dataset_states,
-    assign_states,
     build_atlas,
     fit_activity_hmm,
 )

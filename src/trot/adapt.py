@@ -41,9 +41,9 @@ def transform_samples(
 ) -> FeatureDataset:
     """Shift every source window by the displacement of its atlas row.
 
-    `rows` holds each window's row of the source atlas, as returned by
-    `assign_dataset_states`, and `displacement` is `barycentric_map`'s
-    (k_s, d) output.  Window order, indices and labels are kept.
+    `rows` holds each window's row of the source atlas, as `build_atlas`
+    returns them, and `displacement` is `barycentric_map`'s (k_s, d)
+    output.  Window order, indices and labels are kept.
     """
     rows = np.asarray(rows)
     if rows.shape != (len(src_dataset),) or displacement.shape[1:] != (src_dataset.dim,):

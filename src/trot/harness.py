@@ -22,7 +22,7 @@ import numpy as np
 
 from .adapt import barycentric_map, barycentric_project, coral_align, transform_samples
 from .errors import DimensionMismatchError, InsufficientDataError, TrotError
-from .hmm import assign_dataset_states, build_atlas
+from .hmm import build_atlas
 from .ot_core import (
     TrotHyperparams,
     cost_matrix,
@@ -67,6 +67,8 @@ class TaskSpec:
                 isinstance(hyper, TrotHyperparams) for hyper in self.hyper_grid
             ):
                 raise ValueError(f"{method} grid entries must be TrotHyperparams")
+            if method not in GRID_METHODS and any(hyper is not None for hyper in self.hyper_grid):
+                raise ValueError(f"{method} takes no hyperparameters: its grid entries must be None")
         for name in {"ot": ("group_weight", "order_weight"), "otda": ("order_weight",)}.get(method, ()):
             if any(getattr(hyper, name) > 0 for hyper in self.hyper_grid or ()):
                 raise ValueError(f"{method} does not take {name} > 0")
@@ -204,10 +206,10 @@ def _solver(method: str, source: FeatureDataset, validation: FeatureDataset, see
 
     @functools.cache
     def atlases(n_states):
-        src_atlas = build_atlas(source, n_states)
-        tgt_atlas = build_atlas(validation.with_labels(pseudo_labels()), n_states)
+        src_atlas, rows = build_atlas(source, n_states)
+        tgt_atlas, _ = build_atlas(validation.with_labels(pseudo_labels()), n_states)
         cost, same_order = cost_matrix(src_atlas, tgt_atlas), same_order_mask(src_atlas, tgt_atlas)
-        return src_atlas, tgt_atlas, cost, same_order, assign_dataset_states(source, n_states)
+        return src_atlas, tgt_atlas, cost, same_order, rows
 
     def solve_trot(hyper):
         src_atlas, tgt_atlas, cost, same_order, rows = atlases(hyper.n_states)
@@ -297,14 +299,14 @@ def run_matrix(
     `data` is either a directory of per-user feature CSVs (`<user>.csv`) or a
     mapping {user: FeatureDataset}.  `grids` optionally overrides the default
     hyperparameter grid per method.  Users without data are listed as skipped.
-    The method list is checked before any data is loaded.
+    The method list and the `grids` keys are checked before any data is loaded.
     """
     methods = [m.lower() for m in methods]
     if not methods:
         raise TrotError(f"no methods given; choose from {', '.join(METHODS)}")
-    unknown = [m for m in methods if m not in METHODS]
+    unknown = [m for m in [*methods, *(grids or ())] if m not in METHODS]
     if unknown:
-        raise TrotError(f"unknown methods: {', '.join(unknown)}")
+        raise TrotError(f"unknown methods: {', '.join(map(str, unknown))}")
     if isinstance(data, (str, Path)):
         directory = Path(data)
         if users is None:

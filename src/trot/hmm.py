@@ -7,7 +7,9 @@ window position and fitting reduces to per-state maximum likelihood.  The
 `em` mode learns each state's stay probability with Baum-Welch and decodes
 with Viterbi, both stepping through all runs of a class at once.  The
 per-user bank of all C x N states forms the atlas: (C*N, d) mean and
-variance arrays tagged by class and 1-based order.
+variance arrays tagged by class and 1-based order.  Each class is fitted
+once (`_fit_class`), and that fit yields both its chain and its windows'
+state path, so `build_atlas` returns the atlas with every window's row in it.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ VARIANCE_FLOOR = 1e-6
 EM_MAX_ITER = 100
 EM_TOL = 1e-6
 LOG_ZERO = -745.0  # the fit's log of a zero probability, below that of any positive double
+NO_WINDOWS = "insufficient class data: some states received no windows"
 
 
 @dataclass
@@ -151,86 +154,75 @@ def _viterbi(class_windows: FeatureDataset, model: ActivityHMM) -> np.ndarray:
     return path[np.argsort(order)]
 
 
-def assign_states(
-    class_windows: FeatureDataset, n_states: int, mode: str = "deterministic"
-) -> np.ndarray:
-    """State index (0..N-1) per window of a single-class dataset.
+def _fit_class(
+    class_windows: FeatureDataset, n_states: int, mode: str
+) -> tuple[ActivityHMM, np.ndarray]:
+    """One activity's chain and each window's state (0..N-1) in it: the one
+    place a class is fitted.
 
-    Deterministic mode advances the chain one state per window, restarting
-    at every gap in `window_index`; em mode returns the Viterbi path of the
-    fitted model.  Every state must receive at least one window.
+    The always-advance path restarts at every gap in `window_index` and must
+    give every state a window.  Deterministic mode is the collapsed-EM
+    solution under that chain (every `stay` is 0): per-state sample means
+    and diagonal variances of the windows the path assigns.  em mode runs
+    Baum-Welch with self-transitions allowed from that fit and returns the
+    Viterbi path of the result, which may leave a state empty.
     """
-    if mode == "deterministic":
-        if len(class_windows) < n_states:
-            raise InsufficientDataError(
-                f"insufficient class data: {len(class_windows)} windows < {n_states} states"
-            )
-        path = run_steps(class_windows.window_index) % n_states
-    elif mode == "em":
-        path = _viterbi(class_windows, fit_activity_hmm(class_windows, n_states, mode))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    if len(np.unique(path)) < n_states:
+    if len(class_windows) < n_states:
         raise InsufficientDataError(
-            "insufficient class data: some states received no windows"
+            f"insufficient class data: {len(class_windows)} windows < {n_states} states"
         )
-    return path
+    path = run_steps(class_windows.window_index) % n_states
+    if len(np.unique(path)) < n_states:
+        raise InsufficientDataError(NO_WINDOWS)
+    members = [class_windows.features[path == k] for k in range(n_states)]
+    means = np.array([m.mean(axis=0) for m in members])
+    var = np.maximum(np.array([m.var(axis=0) for m in members]), VARIANCE_FLOOR)
+    if mode == "deterministic":
+        return ActivityHMM(means, var, np.zeros(n_states)), path
+    if mode == "em":
+        model = _fit_em(class_windows, means, var)
+        return model, _viterbi(class_windows, model)
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def fit_activity_hmm(
     class_windows: FeatureDataset, n_states: int, mode: str = "deterministic"
 ) -> ActivityHMM:
-    """Fit one activity's chain of N Gaussian states.
-
-    Deterministic mode is the collapsed-EM solution under the always-advance
-    chain (every `stay` is 0): per-state sample means and diagonal variances
-    of the windows the fixed path assigns.  em mode runs Baum-Welch with
-    self-transitions allowed, initialized from the deterministic fit.
-    """
-    path = assign_states(class_windows, n_states)
-    members = [class_windows.features[path == k] for k in range(n_states)]
-    means = np.array([m.mean(axis=0) for m in members])
-    var = np.maximum(np.array([m.var(axis=0) for m in members]), VARIANCE_FLOOR)
-    if mode == "deterministic":
-        return ActivityHMM(means, var, np.zeros(n_states))
-    if mode == "em":
-        return _fit_em(class_windows, means, var)
-    raise ValueError(f"unknown mode {mode!r}")
+    """Fit one activity's chain of N Gaussian states (see `_fit_class`)."""
+    return _fit_class(class_windows, n_states, mode)[0]
 
 
 def build_atlas(
     dataset: FeatureDataset, n_states: int, mode: str = "deterministic"
-) -> TemporalAtlas:
-    """Fit every activity's chain and assemble the user's state bank.
+) -> tuple[TemporalAtlas, np.ndarray]:
+    """Fit every activity's chain once; return the user's state bank and
+    each window's row in it.
 
     States are ordered (class ascending, order ascending); downstream index
-    sets rely on this canonical layout.
+    sets rely on this canonical layout.  A window's row is its class's
+    position among the sorted labels times `n_states`, plus its chain state.
     """
     if dataset.labels is None:
         raise ClassAbsentError("class absent: dataset has no labels")
-    classes = np.unique(dataset.labels)
-    models = [
-        fit_activity_hmm(dataset.subset(np.nonzero(dataset.labels == c)[0]), n_states, mode)
-        for c in classes
-    ]
-    return TemporalAtlas(
-        np.concatenate([m.means for m in models]),
-        np.concatenate([m.var for m in models]),
+    classes, position = np.unique(dataset.labels, return_inverse=True)
+    fits = [_fit_class(dataset.subset(position == i), n_states, mode) for i in range(len(classes))]
+    rows = position * n_states
+    for i, (_, path) in enumerate(fits):
+        rows[position == i] += path
+    atlas = TemporalAtlas(
+        np.concatenate([model.means for model, _ in fits]),
+        np.concatenate([model.var for model, _ in fits]),
         np.repeat(classes, n_states),
         np.tile(np.arange(1, n_states + 1), len(classes)),
     )
+    return atlas, rows
 
 
 def assign_dataset_states(
     dataset: FeatureDataset, n_states: int, mode: str = "deterministic"
 ) -> np.ndarray:
-    """Each window's row in the `build_atlas` layout: its class's position
-    among the sorted labels times `n_states`, plus its chain state."""
-    if dataset.labels is None:
-        raise ClassAbsentError("class absent: dataset has no labels")
-    classes, position = np.unique(dataset.labels, return_inverse=True)
-    rows = position * n_states
-    for i in range(len(classes)):
-        idx = np.nonzero(position == i)[0]
-        rows[idx] += assign_states(dataset.subset(idx), n_states, mode)
+    """`build_atlas`'s rows, checked to give every state of the atlas a window."""
+    atlas, rows = build_atlas(dataset, n_states, mode)
+    if np.bincount(rows, minlength=len(atlas)).min() == 0:
+        raise InsufficientDataError(NO_WINDOWS)
     return rows

@@ -42,11 +42,14 @@ class Recording:
     def __post_init__(self):
         if not 0 < self.sample_rate < np.inf:
             raise ValueError("sample_rate must be finite and positive")
+        object.__setattr__(self, "channels", np.asarray(self.channels, dtype=float))
         if self.channels.ndim != 2 or self.channels.shape[1] != len(CHANNEL_NAMES):
             raise ValueError("channels must be (n_samples, 6)")
+        if not np.all(np.isfinite(self.channels)):
+            raise InvalidSampleError("invalid sample: non-finite channel value")
+        object.__setattr__(self, "labels", _int_array(self.labels, "label"))
         if len(self.labels) != len(self.channels) or len(self.labels) < 1:
             raise ValueError("labels must match channel length (>= 1)")
-        object.__setattr__(self, "labels", _int_array(self.labels, "label"))
 
     def __len__(self):
         return len(self.channels)
@@ -314,8 +317,10 @@ def _integral(x: np.ndarray) -> bool:
 
 
 def _int_array(values, name: str) -> np.ndarray:
-    """`values` as an int array; values of a non-integer dtype must pass `_integral`."""
+    """`values` as a 1-D int array; values of a non-integer dtype must pass `_integral`."""
     values = np.asarray(values)
+    if values.ndim != 1:
+        raise DimensionMismatchError(f"dimension mismatch: {name} must be 1-D, got shape {values.shape}")
     if values.dtype.kind not in "iu" and not _integral(values):
         raise InvalidSampleError(f"invalid sample: non-integral {name}")
     return values.astype(int, copy=False)
@@ -330,10 +335,11 @@ def load_recording(path, sample_rate: float, user_id: str | None = None) -> Reco
         raise InvalidSampleError(f"invalid sample: non-finite timestamp in {path.name}")
     if np.any(np.diff(data[:, 0]) < 0):
         raise InvalidSampleError(f"invalid sample: timestamps decrease in {path.name}")
-    if not _integral(data[:, 7]):
-        raise InvalidSampleError(f"invalid sample: non-integral label in {path.name}")
     user_id = user_id if user_id is not None else path.stem
-    return Recording(sample_rate, data[:, 1:7], data[:, 7].astype(int), user_id)
+    try:
+        return Recording(sample_rate, data[:, 1:7], data[:, 7], user_id)
+    except InvalidSampleError as exc:  # a non-finite channel value or a non-integral label
+        raise InvalidSampleError(f"{exc} in {path.name}") from exc
 
 
 def save_features(dataset: FeatureDataset, path) -> None:

@@ -8,7 +8,7 @@ from trot.errors import (
     InsufficientDataError,
     TrotError,
 )
-from trot.hmm import assign_dataset_states, build_atlas
+from trot.hmm import build_atlas
 from trot.ot_core import Coupling
 
 from .conftest import make_atlas, make_dataset
@@ -63,8 +63,7 @@ class TestTransformSamples:
     def _setup(self, rng):
         feats = np.concatenate([rng.normal(0, 0.1, (6, 2)), rng.normal(4, 0.1, (6, 2))])
         ds = make_dataset(feats, labels=[0] * 6 + [1] * 6)
-        atlas = build_atlas(ds, 2)
-        rows = assign_dataset_states(ds, 2)
+        atlas, rows = build_atlas(ds, 2)
         return ds, atlas, rows
 
     def test_zero_displacement_is_identity(self, rng):
@@ -76,10 +75,10 @@ class TestTransformSamples:
     def test_single_state_uniform_shift(self, rng):
         feats = rng.normal(0, 1, (5, 3))
         ds = make_dataset(feats, labels=[0] * 5)
-        atlas = build_atlas(ds, 1)
+        atlas, rows = build_atlas(ds, 1)
         shifted = make_atlas(atlas.means + [1.0, 0.0, 0.0], [0], [1])
         displacement = barycentric_map(coupling(np.array([[1.0]])), atlas, shifted)
-        out = transform_samples(ds, assign_dataset_states(ds, 1), displacement)
+        out = transform_samples(ds, rows, displacement)
         assert np.allclose(out.features, feats + [1.0, 0.0, 0.0])
 
     def test_per_state_shift_oracle(self, rng):

@@ -74,9 +74,9 @@ def reference_fit_method(method, hyper, source, validation, seed):
             coupling, trace = gcg_solve(a, b, cost, hyper, src_sub.labels)
         transported = barycentric_project(coupling.values, tgt_sub.features)
         return replace(src_sub, features=transported), trace, coupling.converged
-    src_atlas = build_atlas(source, hyper.n_states)
+    src_atlas, _ = build_atlas(source, hyper.n_states)
     pseudo_labels = knn1_classify(source, validation)
-    tgt_atlas = build_atlas(validation.with_labels(pseudo_labels), hyper.n_states)
+    tgt_atlas, _ = build_atlas(validation.with_labels(pseudo_labels), hyper.n_states)
     cost = cost_matrix(src_atlas, tgt_atlas)
     coupling, trace = gcg_solve(
         src_atlas.weights, tgt_atlas.weights, cost, hyper,
@@ -300,7 +300,7 @@ class TestRunTask:
 
     def test_preparation_runs_once_per_task_or_n_states(self, monkeypatch):
         source, target = tiny_pair()
-        counts = dict.fromkeys(("build_atlas", "assign_dataset_states", "_subsample"), 0)
+        counts = dict.fromkeys(("build_atlas", "_subsample"), 0)
         for name in counts:
             def spy(*args, _name=name, _fn=getattr(harness, name)):
                 counts[_name] += 1
@@ -308,11 +308,11 @@ class TestRunTask:
             monkeypatch.setattr(harness, name, spy)
         points = [(2, 1.0, 0.0, 0.0), (4, 1.0, 0.0, 0.0), (2, 1.0, 0.1, 1.0), (4, 1.0, 0.0, 10.0)]
         run_task(TaskSpec("s", "t", "trot", mixed_grid("trot", points)), source, target)
-        assert counts == {"build_atlas": 4, "assign_dataset_states": 2, "_subsample": 0}
-        counts.update(build_atlas=0, assign_dataset_states=0)
+        assert counts == {"build_atlas": 4, "_subsample": 0}
+        counts.update(build_atlas=0)
         points = [(4, 1.0, eta, 0.0) for eta in (0.0, 0.1, 1.0)]
         run_task(TaskSpec("s", "t", "otda", mixed_grid("otda", points)), source, target)
-        assert counts == {"build_atlas": 0, "assign_dataset_states": 0, "_subsample": 2}
+        assert counts == {"build_atlas": 0, "_subsample": 2}
 
     @pytest.mark.parametrize(
         "method, weights, name",
@@ -330,6 +330,14 @@ class TestRunTask:
         with pytest.raises(ValueError, match=f"{method} grid entries must be TrotHyperparams"):
             TaskSpec("s", "t", method, (TrotHyperparams(), None))
         TaskSpec("s", "t", "na", (None,))  # na, td and coral take no hyperparameters
+
+    @pytest.mark.parametrize("method", ["na", "td", "coral"])
+    @pytest.mark.parametrize("entry", [1, TrotHyperparams()])
+    def test_spec_rejects_a_grid_for_gridless_methods(self, method, entry):
+        # an na grid of (1,) once ran every task of a matrix, then lost it to a
+        # TypeError; a TrotHyperparams entry was reported as na's chosen_hyper
+        with pytest.raises(ValueError, match=f"{method} takes no hyperparameters"):
+            TaskSpec("s", "s" if method == "td" else "t", method, (None, entry))
 
     @pytest.mark.parametrize("method", ["na", "ot", "otda", "coral", "trot"])
     def test_unlabeled_source_fails_before_any_grid_point(self, monkeypatch, method):
@@ -444,6 +452,14 @@ class TestRunMatrix:
         ]:
             with pytest.raises(ValueError, match=message):
                 run_matrix(self._three_users(), methods=["na", method], grids={method: grid})
+        assert ran == []
+
+    def test_rejects_grids_for_unknown_methods_before_any_task(self, monkeypatch):
+        # a "tort" grid was once silently ignored
+        ran = []
+        monkeypatch.setattr(harness, "run_task", lambda *args: ran.append(args))
+        with pytest.raises(TrotError, match="unknown methods: tort"):
+            run_matrix(self._three_users(), methods=["trot"], grids={"tort": default_grid("trot")})
         assert ran == []
 
     def test_unlabeled_source_fails_its_tasks_not_the_matrix(self):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trot.errors import ClassAbsentError, InsufficientDataError, NumericalFailureError
+from trot import hmm
+from trot.errors import ClassAbsentError, InsufficientDataError, NumericalFailureError, TrotError
 from trot.hmm import (
     EM_MAX_ITER,
     EM_TOL,
@@ -14,7 +15,6 @@ from trot.hmm import (
     TemporalAtlas,
     _viterbi,
     assign_dataset_states,
-    assign_states,
     build_atlas,
     fit_activity_hmm,
     run_steps,
@@ -243,6 +243,12 @@ SHORT_RUN_FIRST = FeatureDataset(
     np.array([0, 1, 3, 4, 5, 6, 8]), "u",
 )
 
+# one class whose em chain of 3 states has a Viterbi path through the first 2 only
+EM_EMPTY_STATE = FeatureDataset(
+    np.array([[5.2], [3.8], [4.8], [5.4], [-1.2], [0.8], [-0.1], [-1.0]]), np.zeros(8, dtype=int),
+    np.arange(8), "u",
+)
+
 
 def outcome(fn, *args):
     """The arrays `fn` returns (an atlas as its four fields, a chain as its
@@ -251,6 +257,8 @@ def outcome(fn, *args):
         result = fn(*args)
     except Exception as exc:  # compared, not swallowed
         return exc
+    if isinstance(result, tuple) and isinstance(result[0], TemporalAtlas):
+        result = result[0]  # build_atlas's rows are compared through assign_dataset_states
     if isinstance(result, TemporalAtlas):
         return result.means, result.var, result.classes, result.orders
     if isinstance(result, ActivityHMM):
@@ -286,31 +294,36 @@ def assert_same_outcome(got, want, exact=True):
             assert np.allclose(g, w, rtol=1e-10, atol=1e-10)
 
 
+def one_class(features):
+    """A labelled dataset of one class, whose atlas rows are its chain states."""
+    return make_dataset(features, np.zeros(len(features), dtype=int))
+
+
 class TestAssignStates:
     def test_cyclic_two_states(self):
-        ds = make_dataset([[0.0]] * 4)
-        assert assign_states(ds, 2).tolist() == [0, 1, 0, 1]
+        ds = one_class([[0.0]] * 4)
+        assert assign_dataset_states(ds, 2).tolist() == [0, 1, 0, 1]
 
     def test_one_full_cycle(self):
-        ds = make_dataset([[0.0]] * 4)
-        assert assign_states(ds, 4).tolist() == [0, 1, 2, 3]
+        ds = one_class([[0.0]] * 4)
+        assert assign_dataset_states(ds, 4).tolist() == [0, 1, 2, 3]
 
     def test_too_few_windows(self):
-        ds = make_dataset([[0.0]] * 2)
+        ds = one_class([[0.0]] * 2)
         with pytest.raises(InsufficientDataError, match="insufficient class data"):
-            assign_states(ds, 3)
+            assign_dataset_states(ds, 3)
 
     def test_restart_at_index_gap(self):
         feats = np.zeros((6, 1))
-        ds = make_dataset(feats)
+        ds = one_class(feats)
         ds.window_index = np.array([0, 1, 2, 10, 11, 12])  # two runs of 3
-        assert assign_states(ds, 2).tolist() == [0, 1, 0, 0, 1, 0]
+        assert assign_dataset_states(ds, 2).tolist() == [0, 1, 0, 0, 1, 0]
 
     def test_uncovered_state_raises(self):
-        ds = make_dataset(np.zeros((4, 1)))
+        ds = one_class(np.zeros((4, 1)))
         ds.window_index = np.array([0, 2, 4, 6])  # four runs of length 1
         with pytest.raises(InsufficientDataError):
-            assign_states(ds, 2)
+            assign_dataset_states(ds, 2)
 
     def test_run_steps(self):
         steps = run_steps(np.array([3, 4, 5, 9, 10, 12]))
@@ -357,7 +370,7 @@ class TestFitEM:
         x = np.empty((n, 1))
         x[0::2, 0] = rng.normal(0.0, 0.7, n // 2)
         x[1::2, 0] = rng.normal(gap, 0.7, n // 2)
-        return make_dataset(x)
+        return one_class(x)
 
     def test_loglik_non_decreasing(self, rng):
         model = fit_activity_hmm(self._noisy_alternating(rng), 2, mode="em")
@@ -378,7 +391,7 @@ class TestFitEM:
 
     def test_viterbi_assignment_covers_states(self, rng):
         ds = self._noisy_alternating(rng)
-        path = assign_states(ds, 2, mode="em")
+        path = assign_dataset_states(ds, 2, mode="em")
         assert set(path.tolist()) == {0, 1}
         # on well separated data the Viterbi path matches the parity pattern
         assert path.tolist() == [t % 2 for t in range(len(ds))]
@@ -400,14 +413,14 @@ class TestBuildAtlas:
     def test_uniform_weights_and_count(self, rng):
         feats = rng.normal(0, 1, (40, 3))
         labels = np.repeat([0, 1], 20)
-        atlas = build_atlas(make_dataset(feats, labels), 4)
+        atlas, _ = build_atlas(make_dataset(feats, labels), 4)
         assert len(atlas) == 8
         assert atlas.weights.tolist() == [0.125] * 8
         assert abs(atlas.weights.sum() - 1.0) < 1e-12
 
     def test_degenerate_single_state(self, rng):
         feats = rng.normal(2, 1, (10, 2))
-        atlas = build_atlas(make_dataset(feats, np.zeros(10, dtype=int)), 1)
+        atlas, _ = build_atlas(make_dataset(feats, np.zeros(10, dtype=int)), 1)
         assert len(atlas) == 1
         assert atlas.weights.tolist() == [1.0]
         assert atlas.means[0] == pytest.approx(feats.mean(axis=0))
@@ -415,7 +428,7 @@ class TestBuildAtlas:
     def test_canonical_ordering(self, rng):
         feats = rng.normal(0, 1, (60, 2))
         labels = np.tile(np.repeat([2, 0, 1], 10), 2)
-        atlas = build_atlas(make_dataset(feats, labels), 2)
+        atlas, _ = build_atlas(make_dataset(feats, labels), 2)
         assert list(zip(atlas.classes.tolist(), atlas.orders.tolist())) == [
             (0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2)
         ]
@@ -428,7 +441,7 @@ class TestBuildAtlas:
     def test_recovers_synthetic_means(self):
         spec = SynthSpec(4, 4, 200, 4, noise_std=0.3, seed=9)
         source, _, (true_atlas, _) = generate_pair(spec)
-        atlas = build_atlas(source, 4)
+        atlas, _ = build_atlas(source, 4)
         tol = 4 * spec.noise_std / np.sqrt(spec.windows_per_class / spec.n_states)
         assert np.array_equal(atlas.classes, true_atlas.classes)
         assert np.array_equal(atlas.orders, true_atlas.orders)
@@ -438,8 +451,8 @@ class TestBuildAtlas:
     def test_deterministic_given_inputs(self, rng):
         feats = rng.normal(0, 1, (30, 2))
         labels = np.repeat([0, 1, 2], 10)
-        a1 = build_atlas(make_dataset(feats, labels), 2)
-        a2 = build_atlas(make_dataset(feats, labels), 2)
+        a1, _ = build_atlas(make_dataset(feats, labels), 2)
+        a2, _ = build_atlas(make_dataset(feats, labels), 2)
         assert np.array_equal(a1.means, a2.means)
         assert np.array_equal(a1.var, a2.var)
         assert np.array_equal(a1.classes, a2.classes)
@@ -449,17 +462,59 @@ class TestBuildAtlas:
         feats = rng.normal(0, 1, (24, 2))
         labels = np.repeat([0, 1], 12)
         ds = make_dataset(feats, labels)
-        atlas = build_atlas(ds, 3)
+        atlas, _ = build_atlas(ds, 3)
         rows = assign_dataset_states(ds, 3)
         assert rows.tolist() == [0, 1, 2] * 4 + [3, 4, 5] * 4
         assert np.array_equal(atlas.classes[rows], labels)
         assert np.array_equal(atlas.orders[rows], np.arange(24) % 3 + 1)
 
 
+class TestOneFitPerClass:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @example(dataset=EM_EMPTY_STATE, n_states=3, mode="em")
+    @given(dataset=labelled_streams(), n_states=st.integers(1, 4),
+           mode=st.sampled_from(["deterministic", "em"]))
+    def test_rows_are_the_assignment(self, dataset, n_states, mode):
+        try:
+            atlas, rows = build_atlas(dataset, n_states, mode)
+        except TrotError:
+            return  # failures are compared with the reference's below
+        assert np.array_equal(atlas.classes[rows], dataset.labels)
+        assigned = outcome(assign_dataset_states, dataset, n_states, mode)
+        if isinstance(assigned, Exception):
+            # only an em path can leave a state of a fitted chain empty
+            assert mode == "em" and np.bincount(rows, minlength=len(atlas)).min() == 0
+        else:
+            assert np.array_equal(rows, assigned)
+
+    def test_em_fits_each_class_once_and_returns_its_viterbi_rows(self, monkeypatch, rng):
+        labels = np.repeat([4, 1, 7], 12)
+        ds = make_dataset(rng.normal(0, 1, (36, 2)) + 3.0 * labels[:, None], labels)
+        fit_em, fitted = hmm._fit_em, []
+
+        def spy(class_windows, means, var):
+            fitted.append(len(class_windows))
+            return fit_em(class_windows, means, var)
+
+        monkeypatch.setattr(hmm, "_fit_em", spy)
+        atlas, rows = build_atlas(ds, 2, "em")
+        assert fitted == [12, 12, 12]
+        assert np.array_equal(assign_dataset_states(ds, 2, "em"), rows)
+        assert len(fitted) == 6
+        monkeypatch.undo()
+        for position, c in enumerate([1, 4, 7]):
+            idx = np.nonzero(labels == c)[0]
+            subset = ds.subset(idx)
+            path = _viterbi(subset, fit_activity_hmm(subset, 2, "em"))
+            assert np.array_equal(rows[idx], 2 * position + path)
+        assert np.array_equal(atlas.classes[rows], labels)
+
+
 class TestMatchesListReference:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @example(dataset=SHORT_RUN_FIRST, n_states=2, mode="em")
     @example(dataset=SHORT_RUN_FIRST, n_states=3, mode="em")
+    @example(dataset=EM_EMPTY_STATE, n_states=3, mode="em")
     @given(dataset=labelled_streams(), n_states=st.integers(1, 4),
            mode=st.sampled_from(["deterministic", "em"]))
     def test_matches_per_state_list(self, dataset, n_states, mode):

@@ -435,8 +435,8 @@ def criterion_7_atlases(n_states):
     """Marginals, cost and masks of trot's atlases on the acceptance-criterion-7
     pair (task seed aside, the default-grid preparation of `harness._solver`)."""
     source, validation = scaled_pair(200, 11)
-    src = build_atlas(source, n_states)
-    tgt = build_atlas(validation.with_labels(knn1_classify(source, validation)), n_states)
+    src, _ = build_atlas(source, n_states)
+    tgt, _ = build_atlas(validation.with_labels(knn1_classify(source, validation)), n_states)
     return src.weights, tgt.weights, cost_matrix(src, tgt), src.classes, same_order_mask(src, tgt)
 
 

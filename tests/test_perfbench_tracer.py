@@ -88,8 +88,8 @@ def test_traced_run_task_prepares_atlases_once_per_n_states(tracer):
     finally:
         trace.remove()
     (task,) = [span for span in trace.spans if span.name == "harness.run_task"]
-    watched = ("hmm.build_atlas", "hmm.assign_dataset_states", "ot_core.gcg_solve")
+    watched = ("hmm.build_atlas", "ot_core.gcg_solve")
     spans = [span for span in trace.spans if span.name in watched]
-    # both atlases and the source assignment once for the shared n_states, one solve per point
-    assert Counter(span.name for span in spans) == dict(zip(watched, (2, 1, 2)))
+    # both atlases (the source's with its rows) once for the shared n_states, one solve per point
+    assert Counter(span.name for span in spans) == dict(zip(watched, (2, 2)))
     assert {span.parent for span in spans} == {task.id}

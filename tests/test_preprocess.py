@@ -545,10 +545,12 @@ class TestPipelineAndIO:
             "0.05,1,2,2,0.1,0.2,0.2",
             "0.05,1,2,2,0.1,0.2,0.2,0,0",
             "0.05,1,2,2,0.1,#,0.2,0",
+            "0.05,1,nan,2,0.1,0.2,0.2,0",
+            "0.05,1,2,2,0.1,0.2,-inf,0",
         ],
         ids=[
             "nan timestamp", "inf timestamp", "nan label", "inf label", "fractional label",
-            "label beyond int64", "short row", "long row", "hash cell",
+            "label beyond int64", "short row", "long row", "hash cell", "nan channel", "inf channel",
         ],
     )
     def test_recording_bad_row_rejected(self, tmp_path, row):
@@ -619,6 +621,16 @@ class TestPipelineAndIO:
         with pytest.raises(DimensionMismatchError, match=r"\(n, d\)"):
             FeatureDataset(features, np.zeros(6, dtype=int), np.arange(6))
 
+    def test_labels_must_be_1d(self):
+        # (n, 1) labels were once accepted; run_task then raised a TypeError for na
+        with pytest.raises(DimensionMismatchError, match=r"label must be 1-D, got shape \(3, 1\)"):
+            FeatureDataset(np.zeros((3, 2)), np.zeros((3, 1), dtype=int), np.arange(3))
+
+    def test_window_index_must_be_1d(self):
+        # an (n, 1) window_index once failed every trot grid point as "some states received no windows"
+        with pytest.raises(DimensionMismatchError, match="window_index must be 1-D"):
+            FeatureDataset(np.zeros((3, 2)), np.zeros(3, dtype=int), np.arange(3)[:, None])
+
     def test_window_index_must_increase(self):
         with pytest.raises(ValueError):
             FeatureDataset(np.zeros((2, 3)), None, np.array([1, 1]))
@@ -647,6 +659,22 @@ class TestPipelineAndIO:
         dataset = FeatureDataset(np.zeros((2, 2)), [0.0, -3.0], np.array([1.0, 4.0]))
         assert dataset.labels.tolist() == [0, -3] and dataset.labels.dtype == int
         assert dataset.window_index.tolist() == [1, 4] and dataset.window_index.dtype == int
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_recording_rejects_non_finite_channels(self, value):
+        # sample 395 lies after the last of the 7 windows, which were once built without an error
+        channels = np.random.default_rng(0).normal(0, 1, (400, 6))
+        channels[395, 2] = value
+        with pytest.raises(InvalidSampleError, match="non-finite channel value"):
+            Recording(30.0, channels, np.zeros(400, dtype=int))
+
+    def test_recording_labels_must_be_1d(self):
+        with pytest.raises(DimensionMismatchError, match="label must be 1-D"):
+            Recording(30.0, np.zeros((2, 6)), np.zeros((2, 1), dtype=int))
+
+    def test_recording_channels_stored_as_floats(self):
+        recording = Recording(30.0, np.ones((2, 6), dtype=int), np.zeros(2, dtype=int))
+        assert recording.channels.dtype == float
 
     def test_recording_labels_must_be_integral(self):
         # 0.2 and 0.5 were once both truncated to activity 0 by segment

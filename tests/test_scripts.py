@@ -1,10 +1,11 @@
 """The measurement scripts still run against the trot API.
 
-`scripts/bench_knn.py` and `scripts/bench_sinkhorn.py` write the
-`BENCH_*.json` files that speed claims cite.  `bench_sinkhorn.solve` spies
+`scripts/bench_knn.py`, `scripts/bench_sinkhorn.py` and
+`scripts/bench_atlas.py` write the `BENCH_*.json` files that speed claims
+cite.  `bench_sinkhorn.solve` spies
 on `ot_core._newton_sinkhorn` and reads its arguments by position, so a
 change there would otherwise only show up when someone re-records.  Each
-script is loaded by path, at tiny sizes; both set the BLAS thread variables
+script is loaded by path, at tiny sizes; each sets the BLAS thread variables
 when imported, so the environment is restored afterwards.
 """
 
@@ -13,9 +14,11 @@ import os
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from trot import ot_core
+from trot.hmm import assign_dataset_states, build_atlas
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -38,6 +41,11 @@ def bench_sinkhorn():
     return load_script("bench_sinkhorn")
 
 
+@pytest.fixture(scope="module")
+def bench_atlas():
+    return load_script("bench_atlas")
+
+
 def test_bench_knn_measures(bench_knn, monkeypatch):
     monkeypatch.setattr(bench_knn, "CALLS", 2)
     record = bench_knn.measure(*bench_knn.datasets(10, 20, 2))
@@ -54,3 +62,15 @@ def test_bench_sinkhorn_splits_iterations(bench_sinkhorn, monkeypatch):
     assert record["scaling_iters"] + record["newton_steps"] == solved.iterations
     assert record["converged"] is solved.converged
     assert ot_core._newton_sinkhorn.__name__ == "_newton_sinkhorn"  # the spy is removed
+
+
+@pytest.mark.parametrize("mode", ["deterministic", "em"])
+def test_bench_atlas_measures(bench_atlas, monkeypatch, mode):
+    monkeypatch.setattr(bench_atlas, "REPEATS", 1)
+    dataset = bench_atlas.source(20, 0.5, 11)
+    record = bench_atlas.measure(dataset, 2, mode)
+    assert set(record) == {"build_atlas_s", "assign_dataset_states_s", "prepare_s", "sha1"}
+    assert min(record["build_atlas_s"], record["prepare_s"]) >= 0 and len(record["sha1"]) == 40
+    atlas, rows = bench_atlas.prepare(dataset, 2, mode)
+    assert np.array_equal(atlas.means, build_atlas(dataset, 2, mode)[0].means)
+    assert np.array_equal(rows, assign_dataset_states(dataset, 2, mode))

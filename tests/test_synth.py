@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from trot.harness import TaskSpec, run_task, temporal_split
-from trot.hmm import assign_states, build_atlas
+from trot.hmm import assign_dataset_states, build_atlas
 from trot.synth import SynthSpec, adversarial_user_shift, generate_pair, state_grid
 
 
@@ -35,7 +35,7 @@ class TestGeneratePair:
         source, _, (truth, _) = generate_pair(spec)
         for c in (0, 1):
             idx = np.nonzero(source.labels == c)[0]
-            path = assign_states(source.subset(idx), 4)
+            path = assign_dataset_states(source.subset(idx), 4)  # one class: row = state
             runs = np.split(path, np.nonzero(np.diff(source.window_index[idx]) != 1)[0] + 1)
             for run in runs:
                 assert run.tolist() == [t % 4 for t in range(len(run))]
@@ -43,7 +43,7 @@ class TestGeneratePair:
     def test_atlas_recovery_within_tolerance(self):
         spec = SynthSpec(4, 4, 200, 4, noise_std=0.3, seed=4)
         source, _, (truth, _) = generate_pair(spec)
-        atlas = build_atlas(source, 4)
+        atlas, _ = build_atlas(source, 4)
         tol = 4 * spec.noise_std / np.sqrt(spec.windows_per_class / spec.n_states)
         assert np.all(np.abs(atlas.means - truth.means) < tol)
 
