@@ -1,9 +1,8 @@
 """One source-side atlas preparation per input, mode and chain length.
 
-Times `trot.hmm.build_atlas` and `trot.hmm.assign_dataset_states` on the
-max-abs scaled source user, as `harness._solver` sees it, and the whole
-source preparation trot needs: the atlas plus each window's row in it.
-The inputs are the synthetic adversarial-shift sources (4 classes, 4 states,
+Times `trot.hmm.build_atlas`, the whole source preparation trot needs (the
+atlas plus each window's row in it), and `trot.hmm.assign_dataset_states`
+on the max-abs scaled source user, as `harness._solver` sees it.  The inputs are the synthetic adversarial-shift sources (4 classes, 4 states,
 2 features, 200 windows per class):
 
 - `benchmark`: data seeds 1-5 of the `perfbench` `trot_adapt` runs (noise
@@ -12,7 +11,10 @@ The inputs are the synthetic adversarial-shift sources (4 classes, 4 states,
   11) at noise 0.5, at 2 and 4 states in both modes.
 
 A record holds the fastest of `REPEATS` calls of each, in seconds, and a
-digest of the atlas's means, variances, classes and orders and of the rows.
+digest of the atlas's means, classes and orders and of the rows.  It
+measures trees whose `build_atlas` returns `(atlas, rows)`.  Records made
+before the atlas dropped its variances digested them too, so their `sha1`
+differs.
 The records go into a JSON file under `--label`, next to the records of
 other labels already there, so two source trees can be measured on one
 machine and kept side by side:
@@ -66,16 +68,6 @@ def inputs():
             yield "criterion7_noise0.5", CRITERION_7_SEED, noisy, n_states, mode
 
 
-def prepare(dataset, n_states, mode):
-    """The source atlas and its rows, as trot's preparation obtains them."""
-    from trot.hmm import assign_dataset_states, build_atlas
-
-    result = build_atlas(dataset, n_states, mode)
-    if not isinstance(result, tuple):  # a tree whose build_atlas returns the atlas alone
-        result = result, assign_dataset_states(dataset, n_states, mode)
-    return result
-
-
 def fastest(fn, *args):
     """(fastest of `REPEATS` calls in seconds, the last call's result)."""
     best = float("inf")
@@ -90,16 +82,12 @@ def measure(dataset, n_states, mode):
     """One record: seconds of each call and a digest of the atlas and rows."""
     from trot.hmm import assign_dataset_states, build_atlas
 
-    atlas_s, _ = fastest(build_atlas, dataset, n_states, mode)
+    atlas_s, (atlas, rows) = fastest(build_atlas, dataset, n_states, mode)
     assign_s, _ = fastest(assign_dataset_states, dataset, n_states, mode)
-    prepare_s, (atlas, rows) = fastest(prepare, dataset, n_states, mode)
     digest = hashlib.sha1()
-    for values in (atlas.means, atlas.var, atlas.classes, atlas.orders, rows):
+    for values in (atlas.means, atlas.classes, atlas.orders, rows):
         digest.update(np.ascontiguousarray(values).tobytes())
-    return {
-        "build_atlas_s": atlas_s, "assign_dataset_states_s": assign_s, "prepare_s": prepare_s,
-        "sha1": digest.hexdigest(),
-    }
+    return {"build_atlas_s": atlas_s, "assign_dataset_states_s": assign_s, "sha1": digest.hexdigest()}
 
 
 def main(argv=None):

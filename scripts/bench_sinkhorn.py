@@ -14,10 +14,10 @@ adversarial-shift pairs (4 classes, 4 states, 2 features, noise 0.1):
 the pair of acceptance criterion 7.  Each problem is solved by
 `trot.ot_core.sinkhorn` at entropy weights 0.01, 0.1 and 1 on its
 default iteration budget and tolerance, which every pipeline solve
-uses (gcg_solve's directions and ot's plan pass neither).  A spy on
-`_newton_sinkhorn`, which every solve calls (the measured tree must call
-it so too), splits the reported iterations into scaling-form iterations
-and Newton steps; `seconds` is the fastest of `REPEATS` solves.
+uses (gcg_solve's directions and ot's plan pass neither).  The coupling's
+`newton_steps` splits its iterations into scaling-form iterations and
+Newton steps, so the script measures trees whose `Coupling` has that field;
+`seconds` is the fastest of `REPEATS` solves.
 The records go into a JSON file under `--label`, next to the records of
 other labels already there, so two source trees can be measured on one
 machine and kept side by side:
@@ -99,29 +99,16 @@ def problems():
 
 def solve(a, b, cost, entropy_weight):
     """One record: scaling iterations, Newton steps, seconds, converged, violation."""
-    from trot import ot_core
+    from trot.ot_core import sinkhorn
 
-    handed = []
-    newton = ot_core._newton_sinkhorn
-
-    def spy(log_k, a, b, u, v, it, *args):
-        handed.append(it)
-        return newton(log_k, a, b, u, v, it, *args)
-
-    ot_core._newton_sinkhorn = spy
-    try:
-        best = float("inf")
-        for _ in range(REPEATS):
-            handed.clear()
-            start = time.perf_counter()
-            coupling = ot_core.sinkhorn(a, b, cost, entropy_weight)
-            best = min(best, time.perf_counter() - start)
-    finally:
-        ot_core._newton_sinkhorn = newton
-    scaling = handed[0]
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        coupling = sinkhorn(a, b, cost, entropy_weight)
+        best = min(best, time.perf_counter() - start)
     return {
-        "scaling_iters": scaling,
-        "newton_steps": coupling.iterations - scaling,
+        "scaling_iters": coupling.iterations - coupling.newton_steps,
+        "newton_steps": coupling.newton_steps,
         "seconds": round(best, 6),
         "converged": bool(coupling.converged),
         "violation": float(coupling.marginal_violation),

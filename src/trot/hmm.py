@@ -6,8 +6,8 @@ deterministic mode the chain always advances, so the state path is fixed by
 window position and fitting reduces to per-state maximum likelihood.  The
 `em` mode learns each state's stay probability with Baum-Welch and decodes
 with Viterbi, both stepping through all runs of a class at once.  The
-per-user bank of all C x N states forms the atlas: (C*N, d) mean and
-variance arrays tagged by class and 1-based order.  Each class is fitted
+per-user bank of all C x N states forms the atlas: a (C*N, d) array of
+means tagged by class and 1-based order.  Each class is fitted
 once (`_fit_class`), and that fit yields both its chain and its windows'
 state path, so `build_atlas` returns the atlas with every window's row in it.
 """
@@ -49,7 +49,6 @@ class TemporalAtlas:
     """
 
     means: np.ndarray  # (C*N, d)
-    var: np.ndarray  # (C*N, d)
     classes: np.ndarray  # (C*N,) int
     orders: np.ndarray  # (C*N,) int
 
@@ -211,7 +210,6 @@ def build_atlas(
         rows[position == i] += path
     atlas = TemporalAtlas(
         np.concatenate([model.means for model, _ in fits]),
-        np.concatenate([model.var for model, _ in fits]),
         np.repeat(classes, n_states),
         np.tile(np.arange(1, n_states + 1), len(classes)),
     )

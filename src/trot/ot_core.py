@@ -84,12 +84,18 @@ class TrotHyperparams:
 
 @dataclass
 class Coupling:
-    """Transport plan with its solve diagnostics."""
+    """Transport plan with its solve diagnostics.
+
+    `newton_steps` counts the Sinkhorn iterations that were Newton steps:
+    those of the solve after the scaling form handed over (`sinkhorn`), or
+    the sum over the direction solves a `gcg_solve` ran.
+    """
 
     values: np.ndarray  # (k_s, k_t), non-negative
     marginal_violation: float = 0.0
     iterations: int = 0
     converged: bool = True
+    newton_steps: int = 0
 
 
 def same_order_mask(src_atlas: TemporalAtlas, tgt_atlas: TemporalAtlas) -> np.ndarray:
@@ -203,8 +209,11 @@ def temporal_reg(
     `same_order` is the (k_s, k_t) mask of same-order pairs.  "matched"
     norms each row's same-order entries (the literal group definition);
     "mismatched" norms the complement so order-violating mass is what gets
-    penalized.  Subgradient: masked row over its norm; zero rows get 0.
+    penalized; any other mode raises `ValueError`.  Subgradient: masked row
+    over its norm; zero rows get 0.
     """
+    if mode not in ("matched", "mismatched"):
+        raise ValueError(f"unknown mode {mode!r}")
     gamma = np.asarray(gamma, dtype=float)
     masked = np.where(same_order if mode == "matched" else ~same_order, gamma, 0.0)
     norms = np.sqrt((masked**2).sum(axis=1, keepdims=True))
@@ -283,11 +292,11 @@ def sinkhorn(
             raise NumericalFailureError("numerical failure: NaN or -inf in sinkhorn cost")
         if not (finite.any(axis=1).all() and finite.any(axis=0).all()):
             raise NumericalFailureError("numerical failure: a cost row or column has no finite entry")
-    u, v, it = _scaling_sinkhorn(log_k, a, b, max_iters, tol)
-    plan, violation, it = _newton_sinkhorn(log_k, a, b, u, v, it, max_iters, tol)
+    u, v, scaling_iters = _scaling_sinkhorn(log_k, a, b, max_iters, tol)
+    plan, violation, it = _newton_sinkhorn(log_k, a, b, u, v, scaling_iters, max_iters, tol)
     if not np.all(np.isfinite(plan)):
         raise NumericalFailureError("numerical failure: non-finite transport plan")
-    return Coupling(plan, violation, it, violation <= tol)
+    return Coupling(plan, violation, it, violation <= tol, it - scaling_iters)
 
 
 def _scaling_sinkhorn(log_k, a, b, max_iters, tol):
@@ -502,11 +511,13 @@ def gcg_solve(
     trace = [obj]
     worst_violation = _violation(gamma, a, b)
     converged = True
+    newton_steps = 0
 
     direction = None
     for _ in range(GCG_MAX_ITERS):
         if direction is None or eta > 0 or tau > 0:  # penalty-free: one cost, one solve
             direction = sinkhorn(a, b, cost + pen_sub, hyper.entropy_weight)
+            newton_steps += direction.newton_steps
         worst_violation = max(worst_violation, direction.marginal_violation)
         converged = converged and direction.converged
         delta = direction.values - gamma
@@ -529,6 +540,6 @@ def gcg_solve(
     # worst direction violation bounds the violation along the whole path
     worst_violation = max(worst_violation, _violation(gamma, a, b))
     return (
-        Coupling(gamma, worst_violation, len(trace) - 1, converged),
+        Coupling(gamma, worst_violation, len(trace) - 1, converged, newton_steps),
         np.asarray(trace),
     )

@@ -86,11 +86,10 @@ def _schedule(spec: SynthSpec) -> list[tuple[int, int]]:
     return blocks
 
 
-def _truth_atlas(mu: np.ndarray, spec: SynthSpec) -> TemporalAtlas:
+def _truth_atlas(mu: np.ndarray) -> TemporalAtlas:
     c, n, d = mu.shape
     return TemporalAtlas(
         mu.reshape(c * n, d),
-        np.full((c * n, d), spec.noise_std**2),
         np.repeat(np.arange(c), n),
         np.tile(np.arange(1, n + 1), c),
     )
@@ -112,7 +111,7 @@ def generate_user(
     dataset = FeatureDataset(
         features, np.concatenate(labels), np.arange(len(features)), user_id
     )
-    return dataset, _truth_atlas(mu, spec)
+    return dataset, _truth_atlas(mu)
 
 
 def generate_pair(spec: SynthSpec):

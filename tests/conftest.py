@@ -22,10 +22,9 @@ def make_dataset(features, labels=None, start=0, user_id="u"):
     return FeatureDataset(features, labels, index, user_id)
 
 
-def make_atlas(means, classes, orders, var=1e-4):
-    means = np.atleast_2d(np.asarray(means, dtype=float))
+def make_atlas(means, classes, orders):
     return TemporalAtlas(
-        means, np.full(means.shape, var), np.asarray(classes, dtype=int),
+        np.atleast_2d(np.asarray(means, dtype=float)), np.asarray(classes, dtype=int),
         np.asarray(orders, dtype=int),
     )
 

@@ -172,7 +172,7 @@ def reference_fit(class_windows, n_states, mode, class_id):
 
 
 def reference_build_atlas(dataset, n_states, mode):
-    """(means, var, classes, orders) rebuilt from the list of state objects."""
+    """(means, classes, orders) rebuilt from the list of state objects."""
     if dataset.labels is None:
         raise ClassAbsentError("class absent: dataset has no labels")
     states = []
@@ -181,7 +181,6 @@ def reference_build_atlas(dataset, n_states, mode):
         states.extend(reference_fit(subset, n_states, mode, class_id=int(c))[0])
     return (
         np.array([s.mean for s in states]),
-        np.array([s.var for s in states]),
         np.array([s.class_id for s in states]),
         np.array([s.order for s in states]),
     )
@@ -201,7 +200,7 @@ def reference_atlas_rows(dataset, n_states, mode):
     """Each window's atlas row, found by matching its (class, order) pair
     against the reference atlas's."""
     window_classes, window_orders = reference_assign_dataset_states(dataset, n_states, mode)
-    _, _, classes, orders = reference_build_atlas(dataset, n_states, mode)
+    _, classes, orders = reference_build_atlas(dataset, n_states, mode)
     match = (window_classes[:, None] == classes) & (window_orders[:, None] == orders)
     assert match.sum(axis=1).tolist() == [1] * len(dataset)
     return match.argmax(axis=1)
@@ -251,7 +250,7 @@ EM_EMPTY_STATE = FeatureDataset(
 
 
 def outcome(fn, *args):
-    """The arrays `fn` returns (an atlas as its four fields, a chain as its
+    """The arrays `fn` returns (an atlas as its three fields, a chain as its
     means, variances, dense transition and trace), or what it raises."""
     try:
         result = fn(*args)
@@ -260,7 +259,7 @@ def outcome(fn, *args):
     if isinstance(result, tuple) and isinstance(result[0], TemporalAtlas):
         result = result[0]  # build_atlas's rows are compared through assign_dataset_states
     if isinstance(result, TemporalAtlas):
-        return result.means, result.var, result.classes, result.orders
+        return result.means, result.classes, result.orders
     if isinstance(result, ActivityHMM):
         trace = result.log_likelihood_trace
         return result.means, result.var, dense_transition(result.stay), trace
@@ -454,7 +453,6 @@ class TestBuildAtlas:
         a1, _ = build_atlas(make_dataset(feats, labels), 2)
         a2, _ = build_atlas(make_dataset(feats, labels), 2)
         assert np.array_equal(a1.means, a2.means)
-        assert np.array_equal(a1.var, a2.var)
         assert np.array_equal(a1.classes, a2.classes)
         assert np.array_equal(a1.orders, a2.orders)
 

@@ -2,11 +2,8 @@
 
 `scripts/bench_knn.py`, `scripts/bench_sinkhorn.py` and
 `scripts/bench_atlas.py` write the `BENCH_*.json` files that speed claims
-cite.  `bench_sinkhorn.solve` spies
-on `ot_core._newton_sinkhorn` and reads its arguments by position, so a
-change there would otherwise only show up when someone re-records.  Each
-script is loaded by path, at tiny sizes; each sets the BLAS thread variables
-when imported, so the environment is restored afterwards.
+cite.  Each script is loaded by path, at tiny sizes; each sets the BLAS
+thread variables when imported, so the environment is restored afterwards.
 """
 
 import importlib.util
@@ -14,11 +11,9 @@ import os
 from pathlib import Path
 from unittest import mock
 
-import numpy as np
 import pytest
 
 from trot import ot_core
-from trot.hmm import assign_dataset_states, build_atlas
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -60,8 +55,10 @@ def test_bench_sinkhorn_splits_iterations(bench_sinkhorn, monkeypatch):
     record = bench_sinkhorn.solve(a, b, cost, 0.01)
     assert set(record) == {"scaling_iters", "newton_steps", "seconds", "converged", "violation"}
     assert record["scaling_iters"] + record["newton_steps"] == solved.iterations
+    # the scaling form alone runs 2 iterations here, and Newton steps finish in 3
+    assert record["scaling_iters"] == ot_core._scaling_sinkhorn(-cost / 0.01, a, b, 10_000, 1e-9)[2]
+    assert record["newton_steps"] > 0
     assert record["converged"] is solved.converged
-    assert ot_core._newton_sinkhorn.__name__ == "_newton_sinkhorn"  # the spy is removed
 
 
 @pytest.mark.parametrize("mode", ["deterministic", "em"])
@@ -69,8 +66,6 @@ def test_bench_atlas_measures(bench_atlas, monkeypatch, mode):
     monkeypatch.setattr(bench_atlas, "REPEATS", 1)
     dataset = bench_atlas.source(20, 0.5, 11)
     record = bench_atlas.measure(dataset, 2, mode)
-    assert set(record) == {"build_atlas_s", "assign_dataset_states_s", "prepare_s", "sha1"}
-    assert min(record["build_atlas_s"], record["prepare_s"]) >= 0 and len(record["sha1"]) == 40
-    atlas, rows = bench_atlas.prepare(dataset, 2, mode)
-    assert np.array_equal(atlas.means, build_atlas(dataset, 2, mode)[0].means)
-    assert np.array_equal(rows, assign_dataset_states(dataset, 2, mode))
+    assert set(record) == {"build_atlas_s", "assign_dataset_states_s", "sha1"}
+    assert min(record["build_atlas_s"], record["assign_dataset_states_s"]) >= 0
+    assert len(record["sha1"]) == 40
