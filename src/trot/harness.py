@@ -137,8 +137,9 @@ def default_grid(method: str) -> tuple[TrotHyperparams | None, ...]:
 def knn1_classify(train: FeatureDataset, query: FeatureDataset) -> np.ndarray:
     """Label of the Euclidean-nearest training window per query window.
 
-    Distance ties resolve to the lowest training index
-    (`ot_core.nearest_rows`).
+    `ot_core.nearest_rows` scores a block of query windows against every
+    training window by one matrix product; exact distance ties resolve to
+    the lowest training index.
     """
     if len(train) == 0:
         raise InsufficientDataError("insufficient data: empty training set")
@@ -299,7 +300,8 @@ def run_matrix(
     `data` is either a directory of per-user feature CSVs (`<user>.csv`) or a
     mapping {user: FeatureDataset}.  `grids` optionally overrides the default
     hyperparameter grid per method.  Users without data are listed as skipped.
-    The method list and the `grids` keys are checked before any data is loaded.
+    The method list, the `grids` keys and the user list (neither list may
+    name anything twice) are checked before any data is loaded.
     """
     methods = [m.lower() for m in methods]
     if not methods:
@@ -307,6 +309,10 @@ def run_matrix(
     unknown = [m for m in [*methods, *(grids or ())] if m not in METHODS]
     if unknown:
         raise TrotError(f"unknown methods: {', '.join(map(str, unknown))}")
+    for kind, names in (("methods", methods), ("users", users or ())):
+        repeated = [name for name, count in Counter(names).items() if count > 1]
+        if repeated:
+            raise TrotError(f"repeated {kind}: {', '.join(map(str, repeated))}")
     if isinstance(data, (str, Path)):
         directory = Path(data)
         if users is None:

@@ -46,7 +46,7 @@ SCALING_MIN, SCALING_MAX = 1e-150, 1e150  # sinkhorn scalings kept in range
 GCG_TOL = 1e-7  # relative objective decrease below which gcg_solve stops
 GCG_MAX_ITERS = 20  # conditional-gradient steps gcg_solve takes at most
 NEWTON_SHIFT = 1e-3  # Newton's Hessian shift per unit of marginal violation
-NEAREST_BLOCK_CELLS = 1 << 16  # cells of each distance buffer nearest_rows reuses
+NEAREST_BLOCK_CELLS = 1 << 16  # cells of the score buffer each nearest_rows block reuses
 
 
 @dataclass
@@ -104,38 +104,46 @@ def same_order_mask(src_atlas: TemporalAtlas, tgt_atlas: TemporalAtlas) -> np.nd
 
 
 def pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between rows of x and rows of y, both
-    centred on `_centre(y)` so the expansion does not cancel far from 0."""
+    """Squared Euclidean distances between rows of x and rows of y, as
+    (|x|^2 + |y|^2) - 2 x.y^T clamped at 0, both sides centred on
+    `_centre(y)` so the expansion does not cancel far from 0."""
     x, y = _checked_rows(x, y)
     centre = _centre(y)
-    y = y - centre
-    return _sq_dists(x - centre, y, (y**2).sum(axis=1))
+    x, y = x - centre, y - centre
+    return np.maximum((x**2).sum(axis=1)[:, None] + (y**2).sum(axis=1) - 2.0 * (x @ y.T), 0.0)
 
 
 def nearest_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Index of the Euclidean-nearest row of y for every row of x.
 
-    Ties resolve to the lowest index.  Both sides are centred as in
-    `pairwise_sq_dists`.  The distances are computed a block of x's rows at
-    a time, in two buffers of about `NEAREST_BLOCK_CELLS` cells that every
-    block reuses, so no (len(x), len(y)) matrix is built.
+    Exact ties resolve to the lowest index.  With c = `_centre(y)`, a block
+    of x's rows is scored against y by one matrix product,
+    [x - c, 1] @ [-2 (y - c)^T; |y - c|^2]: the squared distance less
+    |x - c|^2, which is the same for every row of y, so the lowest score
+    is the nearest row.  Every block reuses one score buffer of about
+    `NEAREST_BLOCK_CELLS` cells, so no (len(x), len(y)) matrix is built.
     """
     x, y = _checked_rows(x, y)
-    rows = max(1, min(NEAREST_BLOCK_CELLS // max(len(y), 1), len(x)))
-    cells = rows * len(y)
-    # One allocation for both buffers and the centred y: as several, glibc
+    (n, dim), centre = y.shape, _centre(y)
+    rows = max(1, min(NEAREST_BLOCK_CELLS // max(n, 1), len(x)))
+    # One allocation for both factors and the scores: as several, glibc
     # returned them to the system after every call (its trim threshold
     # adapts to the largest single block freed).
-    buffer = np.empty(2 * cells + y.size)
-    prod, dist = buffer[: 2 * cells].reshape(2, rows, len(y))
-    centre = _centre(y)
-    y = np.subtract(y, centre, out=buffer[2 * cells :].reshape(y.shape))
-    y_sq = (y**2).sum(axis=1)
+    buffer = np.empty((dim + 1) * (n + rows) + rows * n)
+    right = buffer[: (dim + 1) * n].reshape(dim + 1, n)
+    left = buffer[(dim + 1) * n : (dim + 1) * (n + rows)].reshape(rows, dim + 1)
+    scores = buffer[(dim + 1) * (n + rows) :].reshape(rows, n)
+    y = y - centre
+    np.multiply(y.T, -2.0, out=right[:dim])
+    y *= y
+    right[dim] = y.sum(axis=1)
+    left[:, dim] = 1.0
     nearest = np.empty(len(x), dtype=np.intp)
     for start in range(0, len(x), rows):
         block = slice(start, min(start + rows, len(x)))
         k = block.stop - start
-        _sq_dists(x[block] - centre, y, y_sq, prod[:k], dist[:k]).argmin(axis=1, out=nearest[block])
+        np.subtract(x[block], centre, out=left[:k, :dim])
+        np.matmul(left[:k], right, out=scores[:k]).argmin(axis=1, out=nearest[block])
     return nearest
 
 
@@ -156,16 +164,6 @@ def _checked_rows(x, y):
     if x.shape[1] != y.shape[1]:
         raise DimensionMismatchError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
     return x, y
-
-
-def _sq_dists(x, y, y_sq, prod=None, out=None):
-    """(|x|^2 + |y|^2) - 2 x.y^T clamped at 0, written into `out` with x.y^T
-    in `prod` (both allocated when None); `y_sq` holds the |y|^2 row sums."""
-    prod = np.matmul(x, y.T, out=prod)
-    out = np.add((x**2).sum(axis=1)[:, None], y_sq, out=out)
-    prod *= 2.0
-    out -= prod
-    return np.maximum(out, 0.0, out=out)
 
 
 def cost_matrix(src_atlas: TemporalAtlas, tgt_atlas: TemporalAtlas) -> np.ndarray:

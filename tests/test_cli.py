@@ -155,6 +155,17 @@ def test_matrix_rejects_unknown_method(tmp_path, capsys):
     assert "magic" in capsys.readouterr().err
 
 
+def test_matrix_rejects_repeated_method(tmp_path, capsys):
+    # na,NA,coral once ran na twice: 6 tasks, with one na row in the table
+    data, out = tmp_path / "synth", tmp_path / "m.json"
+    assert main(["synth", "--classes", "2", "--states", "2", "--windows", "12", "--dim", "2",
+                 "--out", str(data)]) == 0
+    assert main(["matrix", "--data", str(data), "--methods", "na,NA,coral", "--out", str(out)]) == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"error": "TrotError", "message": "repeated methods: na"}
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("methods", [",", " , ", ""])
 def test_matrix_rejects_empty_method_list(tmp_path, capsys, methods):
     # an empty list once wrote a report with no tasks, then crashed in render_table

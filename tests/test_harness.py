@@ -427,6 +427,29 @@ class TestRunMatrix:
             run_matrix(self._three_users(), methods=methods)
         assert ran == []
 
+    @pytest.mark.parametrize(
+        "users, methods, message",
+        [
+            (["u0", "u0", "u1"], ["na"], "repeated users: u0"),
+            (["u2", "u1", "u2", "u1"], ["na"], "repeated users: u2, u1"),
+            (None, ["na", "NA", "coral"], "repeated methods: na"),
+        ],
+    )
+    def test_rejects_repeats_before_any_task(self, monkeypatch, users, methods, message):
+        # a repeated user once ran each of its pairs twice and was listed twice
+        # in "users"; na, NA once ran na twice with one "table" row
+        ran = []
+        monkeypatch.setattr(harness, "run_task", lambda *args: ran.append(args))
+        with pytest.raises(TrotError, match=f"^{message}$"):
+            run_matrix(self._three_users(), users=users, methods=methods)
+        assert ran == []
+
+    def test_rejects_repeated_users_before_loading(self, tmp_path):
+        with mock.patch.object(harness, "load_features") as load:
+            with pytest.raises(TrotError, match="^repeated users: a$"):
+                run_matrix(tmp_path, users=["a", "a", "b"], methods=["na"])
+        load.assert_not_called()
+
     @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
     def test_rejects_bad_seed_before_any_task(self, monkeypatch, seed):
         # -1 once ran the na tasks, then raised numpy's ValueError at the

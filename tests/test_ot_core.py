@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 from dataclasses import asdict
 from itertools import permutations
 from unittest import mock
@@ -926,3 +927,51 @@ def test_distances_far_from_the_origin():
     x, y = np.array([[1e8 + 0.9]]), np.array([[1e8], [1e8 + 1]])
     assert np.allclose(pairwise_sq_dists(x, y), [[0.81, 0.01]], atol=1e-6)
     assert ot_core.nearest_rows(x, y).tolist() == [1]
+
+
+def direct_nearest(x, y):
+    """Argmin of the directly summed (x - y)**2, one query row at a time."""
+    return np.array([((y - row) ** 2).sum(axis=1).argmin() for row in x], dtype=np.intp)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+def test_nearest_rows_at_feature_width(rng, offset):
+    # 38 continuous features, as the pipeline's windows have; 600 training
+    # rows make blocks of 109 query rows
+    x, y = (rng.uniform(-1, 1, (n, 38)) + offset for n in (300, 600))
+    assert np.array_equal(ot_core.nearest_rows(x, y), direct_nearest(x, y))
+
+
+@pytest.mark.parametrize("dim", [2, 38])
+def test_duplicated_row_resolves_to_lowest_index(rng, dim):
+    for _ in range(20):
+        y = rng.uniform(-1, 1, (rng.integers(2, 400), dim))
+        copies = rng.choice(len(y), rng.integers(2, min(len(y), 6) + 1), replace=False)
+        y[copies] = rng.uniform(-1, 1, dim)
+        x = np.vstack([y[copies], rng.uniform(-1, 1, (5, dim))])
+        nearest = ot_core.nearest_rows(x, y)
+        assert (nearest[: len(copies)] == copies.min()).all()
+        assert np.array_equal(nearest, direct_nearest(x, y))
+
+
+@pytest.mark.parametrize("scale", [10.0, 1e3, 1e6])
+def test_queries_far_outside_the_training_box(rng, scale):
+    y = rng.uniform(-1, 1, (300, 38))
+    directions = rng.normal(0, 1, (50, 38))
+    x = scale * directions / np.linalg.norm(directions, axis=1, keepdims=True)
+    assert np.array_equal(ot_core.nearest_rows(x, y), direct_nearest(x, y))
+
+
+@pytest.mark.parametrize("cells", [ot_core.NEAREST_BLOCK_CELLS, 1 << 12, 1 << 18])
+def test_nearest_rows_memory_bound(rng, cells):
+    # a (1179, 2355) distance matrix, one raw_to_matrix task's, would take 22 MB;
+    # the bound holds the score buffer, both factors and one y-sized temporary
+    x, y = rng.uniform(-1, 1, (1179, 38)), rng.uniform(-1, 1, (2355, 38))
+    with mock.patch.object(ot_core, "NEAREST_BLOCK_CELLS", cells):
+        tracemalloc.start()
+        try:
+            ot_core.nearest_rows(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 8 * (cells + 3 * y.size + len(x))
