@@ -15,35 +15,19 @@ them in, and labels from 4 classes, with a fixed seed.  After `WARMUP`
 calls, each size is classified `CALLS` times in a row.  A record holds the
 median milliseconds per call, the minor page faults per call
 (`resource.getrusage(RUSAGE_SELF).ru_minflt`) and a digest of the labels.
-The records go into a JSON file under `--label`, next to the records of
-other labels already there, so two source trees can be measured on one
-machine and kept side by side:
-
-    python scripts/bench_knn.py --src /path/to/parent/src --label parent
-    python scripts/bench_knn.py --label change
-
-BLAS is pinned to one thread, as in `perfbench`.
+Flags, BLAS pin and output file are those of `_bench`.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import json
-import os
-import platform
 import resource
 import statistics
-import sys
 import time
-from pathlib import Path
 
-for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[var] = "1"  # before numpy is imported
+import _bench  # pins BLAS before numpy is imported
+import numpy as np
 
-import numpy as np  # noqa: E402
-
-ROOT = Path(__file__).resolve().parent.parent
 SIZES = (
     ("trot_adapt", 400, 800, 2),
     ("raw_to_matrix", 1179, 2355, 38),
@@ -85,32 +69,17 @@ def measure(train, query):
     }
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", type=Path, default=ROOT / "src",
-                        help="directory holding the trot package to measure")
-    parser.add_argument("--label", required=True, help="key of this run in the output file")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_knn.json")
-    args = parser.parse_args(argv)
-    sys.path.insert(0, str(args.src.resolve()))
-    records = []
+def records():
+    """One record per size."""
     for workload, n_query, n_train, dim in SIZES:
-        record = {
+        yield {
             "size": f"{n_query}x{n_train}x{dim}", "workload": workload,
             **measure(*datasets(n_query, n_train, dim)),
         }
-        records.append(record)
-        print(json.dumps(record), flush=True)
-    results = json.loads(args.out.read_text()) if args.out.is_file() else {}
-    results[args.label] = {
-        "machine": {
-            "python": platform.python_version(), "numpy": np.__version__,
-            "cpus": os.cpu_count(), "processor": platform.machine(), "blas_threads": 1,
-        },
-        "calls": CALLS,
-        "records": records,
-    }
-    args.out.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
+
+
+def main(argv=None):
+    _bench.main(argv, __doc__, "BENCH_knn.json", records, calls=CALLS)
 
 
 if __name__ == "__main__":

@@ -18,32 +18,16 @@ uses (gcg_solve's directions and ot's plan pass neither).  The coupling's
 `newton_steps` splits its iterations into scaling-form iterations and
 Newton steps, so the script measures trees whose `Coupling` has that field;
 `seconds` is the fastest of `REPEATS` solves.
-The records go into a JSON file under `--label`, next to the records of
-other labels already there, so two source trees can be measured on one
-machine and kept side by side:
-
-    python scripts/bench_sinkhorn.py --src /path/to/parent/src --label parent
-    python scripts/bench_sinkhorn.py --label change
-
-BLAS is pinned to one thread, as in `perfbench`.
+Flags, BLAS pin and output file are those of `_bench`.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
-import sys
 import time
-from pathlib import Path
 
-for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[var] = "1"  # before numpy is imported
+import _bench  # pins BLAS before numpy is imported
+import numpy as np
 
-import numpy as np  # noqa: E402
-
-ROOT = Path(__file__).resolve().parent.parent
 ENTROPY_WEIGHTS = (0.01, 0.1, 1.0)
 BENCHMARK_SEEDS = (1, 2, 3, 4, 5)
 REPEATS = 3
@@ -51,26 +35,12 @@ TASK_SEED = 3  # the CLI seed of the benchmark's adapt calls
 CRITERION_7_SEED = 11
 
 
-def _pair(windows_per_class, seed):
-    from trot.harness import temporal_split
-    from trot.preprocess import fit_maxabs, maxabs_fit_apply
-    from trot.synth import SynthSpec, adversarial_user_shift, generate_pair
-
-    spec = SynthSpec(n_classes=4, n_states=4, windows_per_class=windows_per_class,
-                     feature_dim=2, noise_std=0.1, seed=seed)
-    spec.user_shift = adversarial_user_shift(spec)
-    source, target, _ = generate_pair(spec)
-    scaler = fit_maxabs(source)
-    validation, _ = temporal_split(maxabs_fit_apply(target, scaler))
-    return maxabs_fit_apply(source, scaler), validation
-
-
 def atlas_problem(windows_per_class, seed):
     from trot.harness import knn1_classify
     from trot.hmm import build_atlas
     from trot.ot_core import cost_matrix
 
-    source, validation = _pair(windows_per_class, seed)
+    source, validation = _bench.adversarial_pair(windows_per_class, 0.1, seed)
     src, _ = build_atlas(source, 4)
     tgt, _ = build_atlas(validation.with_labels(knn1_classify(source, validation)), 4)
     return src.weights, tgt.weights, cost_matrix(src, tgt)
@@ -80,7 +50,7 @@ def window_problem(windows_per_class, seed):
     from trot.harness import _subsample
     from trot.ot_core import pairwise_sq_dists
 
-    source, validation = _pair(windows_per_class, seed)
+    source, validation = _bench.adversarial_pair(windows_per_class, 0.1, seed)
     rng = np.random.default_rng(TASK_SEED)
     src, tgt = _subsample(source, rng), _subsample(validation, rng)
     a, b = np.full(len(src), 1 / len(src)), np.full(len(tgt), 1 / len(tgt))
@@ -115,33 +85,19 @@ def solve(a, b, cost, entropy_weight):
     }
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", type=Path, default=ROOT / "src",
-                        help="directory holding the trot package to measure")
-    parser.add_argument("--label", required=True, help="key of this run in the output file")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_sinkhorn.json")
-    args = parser.parse_args(argv)
-    sys.path.insert(0, str(args.src.resolve()))
-    records = []
+def records():
+    """One record per problem and entropy weight."""
     for construction, kind, seed, (a, b, cost) in problems():
         for entropy_weight in ENTROPY_WEIGHTS:
-            record = {
+            yield {
                 "shape": f"{cost.shape[0]}x{cost.shape[1]}", "kind": kind,
                 "construction": construction, "seed": seed, "entropy_weight": entropy_weight,
                 **solve(a, b, cost, entropy_weight),
             }
-            records.append(record)
-            print(json.dumps(record), flush=True)
-    results = json.loads(args.out.read_text()) if args.out.is_file() else {}
-    results[args.label] = {
-        "machine": {
-            "python": platform.python_version(), "numpy": np.__version__,
-            "cpus": os.cpu_count(), "processor": platform.machine(), "blas_threads": 1,
-        },
-        "solves": records,
-    }
-    args.out.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
+
+
+def main(argv=None):
+    _bench.main(argv, __doc__, "BENCH_sinkhorn.json", records, key="solves")
 
 
 if __name__ == "__main__":

@@ -12,9 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import TrotError
+from .errors import InsufficientDataError, TrotError
 from .harness import (
-    GRID_METHODS, METHODS, TaskSpec, default_grid, matrix_to_json, render_table, run_matrix, run_task,
+    METHODS, TaskSpec, default_grid, matrix_to_json, render_table, run_matrix, run_task,
 )
 from .ot_core import TrotHyperparams
 from .preprocess import build_features, load_features, load_recording, save_features
@@ -32,6 +32,10 @@ def _cmd_preprocess(args) -> int:
     for path in paths:
         recording = load_recording(path, args.rate)
         dataset = build_features(recording, args.window_sec, args.overlap)
+        if len(dataset) == 0:  # `load_features` would refuse the header-only file
+            raise InsufficientDataError(
+                f"insufficient data: every window of {path.name} has a tied label count"
+            )
         save_features(dataset, out / f"{path.stem}.csv")
         log.info("preprocessed %s: %d windows", path.stem, len(dataset))
     return 0
@@ -61,8 +65,7 @@ def _adapt_grid(args):
 def _cmd_adapt(args) -> int:
     source = load_features(args.source)
     target = load_features(args.target)
-    grid = _adapt_grid(args) if args.method in GRID_METHODS else None
-    spec = TaskSpec(source.user_id, target.user_id, args.method, grid, args.seed)
+    spec = TaskSpec(source.user_id, target.user_id, args.method, _adapt_grid(args), args.seed)
     report = run_task(spec, source, target)
     payload = report.to_dict(include_timing=True)
     if args.report:
@@ -85,6 +88,8 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    if args.users < 1:
+        raise ValueError(f"--users must be >= 1, got {args.users}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     spec = SynthSpec(

@@ -86,9 +86,13 @@ class TrotHyperparams:
 class Coupling:
     """Transport plan with its solve diagnostics.
 
-    `newton_steps` counts the Sinkhorn iterations that were Newton steps:
-    those of the solve after the scaling form handed over (`sinkhorn`), or
-    the sum over the direction solves a `gcg_solve` ran.
+    `iterations` counts the solver's own steps: scaling-form iterations plus
+    Newton steps for `sinkhorn`, accepted conditional-gradient steps for
+    `gcg_solve`.  `newton_steps` counts the Sinkhorn iterations that were
+    Newton steps: those of the solve after the scaling form handed over
+    (`sinkhorn`), or the sum over the direction solves a `gcg_solve` ran.
+    So `iterations - newton_steps` counts scaling iterations only for a
+    `sinkhorn` coupling.
     """
 
     values: np.ndarray  # (k_s, k_t), non-negative

@@ -80,9 +80,11 @@ class FeatureDataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
-        if self.features.ndim != 2:
+        if self.features.ndim != 2 or self.features.shape[1] < 1:
+            # with no feature column 1-NN would give every query the first training label
             raise DimensionMismatchError(
-                f"dimension mismatch: features must be (n, d), got shape {self.features.shape}"
+                f"dimension mismatch: features must be (n, d) with d >= 1, "
+                f"got shape {self.features.shape}"
             )
         if not np.all(np.isfinite(self.features)):
             raise InvalidSampleError("invalid sample: non-finite feature")
@@ -367,4 +369,7 @@ def load_features(path, user_id: str | None = None) -> FeatureDataset:
         raise InvalidSampleError(f"invalid sample: non-finite feature in {path.name}")
     index, labels = data[:, :2].astype(int).T
     user_id = user_id if user_id is not None else path.stem
-    return FeatureDataset(data[:, 2:], None if np.all(labels == -1) else labels, index, user_id)
+    try:
+        return FeatureDataset(data[:, 2:], None if np.all(labels == -1) else labels, index, user_id)
+    except DimensionMismatchError as exc:  # a file with no feature column
+        raise DimensionMismatchError(f"{exc} in {path.name}") from exc

@@ -39,18 +39,19 @@ def test_preprocess_verb(recording_dir, tmp_path):
     assert len(ds) > 0
 
 
-def test_preprocess_recording_without_kept_windows(tmp_path):
-    # one 3 s window whose labels alternate is a tie and is dropped
+def test_preprocess_recording_without_kept_windows(tmp_path, capsys):
+    # every 3 s window whose labels alternate is a tie and is dropped; the
+    # header-only file once written here made `load_features`, and so `trot matrix`, fail
     raw = tmp_path / "raw"
     raw.mkdir()
     lines = ["timestamp,acc_x,acc_y,acc_z,gyro_x,gyro_y,gyro_z,label"]
-    lines += [f"{i / 30},1,2,2,0.1,0.2,0.2,{i % 2}" for i in range(90)]
+    lines += [f"{i / 30},1,2,2,0.1,0.2,0.2,{i % 2}" for i in range(180)]
     (raw / "userB.csv").write_text("\n".join(lines))
     out = tmp_path / "feats"
-    assert main(["preprocess", "--input", str(raw), "--rate", "30", "--out", str(out)]) == 0
-    header, *rows = (out / "userB.csv").read_text().splitlines()
-    assert header.split(",")[-1] == "f37"
-    assert rows == []
+    assert main(["preprocess", "--input", str(raw), "--rate", "30", "--out", str(out)]) == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "InsufficientDataError" and "userB.csv" in payload["message"]
+    assert not (out / "userB.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -135,6 +136,10 @@ def test_error_exit_emits_json(tmp_path, capsys):
          "regularizer weights must be finite and >= 0"),
         (["--lambda", "inf"], "entropy_weight must be finite and > 0"),  # once only warned
         (["--method", "na", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
+        # each once exited 0 and ran the method as if the flag were not there
+        (["--method", "na", "--lambda", "0.1"], "na takes no hyperparameters: its grid entries must be None"),
+        (["--method", "td", "--eta", "1"], "td takes no hyperparameters: its grid entries must be None"),
+        (["--method", "coral", "--tau", "1"], "coral takes no hyperparameters: its grid entries must be None"),
     ],
 )
 def test_adapt_rejects_unusable_setting(tmp_path, capsys, flags, message):
@@ -147,6 +152,16 @@ def test_adapt_rejects_unusable_setting(tmp_path, capsys, flags, message):
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload == {"error": "ValueError", "message": message}
     assert not report.exists()
+
+
+@pytest.mark.parametrize("users", ["0", "-2"])
+def test_synth_rejects_user_count_below_one(tmp_path, capsys, users):
+    # once exited 0 having written nothing
+    data = tmp_path / "synth"
+    assert main(["synth", "--users", users, "--out", str(data)]) == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"error": "ValueError", "message": f"--users must be >= 1, got {users}"}
+    assert not data.exists()
 
 
 def test_matrix_rejects_unknown_method(tmp_path, capsys):

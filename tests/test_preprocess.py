@@ -615,11 +615,18 @@ class TestPipelineAndIO:
         with pytest.raises(InvalidSampleError):
             load_recording(path, 30.0)
 
-    @pytest.mark.parametrize("features", [np.arange(6.0), np.zeros((6, 2, 1))])
+    @pytest.mark.parametrize("features", [np.arange(6.0), np.zeros((6, 2, 1)), np.zeros((6, 0))])
     def test_features_must_be_2d(self, features):
-        # 1-D features were once accepted, and run_task then raised a TypeError
-        with pytest.raises(DimensionMismatchError, match=r"\(n, d\)"):
+        # 1-D features were once accepted, and run_task then raised a TypeError;
+        # with no feature column na and coral once reported accuracy 1.0
+        with pytest.raises(DimensionMismatchError, match=r"\(n, d\) with d >= 1"):
             FeatureDataset(features, np.zeros(6, dtype=int), np.arange(6))
+
+    def test_feature_file_without_feature_column_rejected(self, tmp_path):
+        path = tmp_path / "uz.csv"
+        path.write_text("window_index,label\n0,0\n1,1\n2,0\n3,1\n")
+        with pytest.raises(DimensionMismatchError, match=r"got shape \(4, 0\) in uz.csv"):
+            load_features(path)
 
     def test_labels_must_be_1d(self):
         # (n, 1) labels were once accepted; run_task then raised a TypeError for na

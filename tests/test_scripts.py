@@ -2,12 +2,16 @@
 
 `scripts/bench_knn.py`, `scripts/bench_sinkhorn.py` and
 `scripts/bench_atlas.py` write the `BENCH_*.json` files that speed claims
-cite.  Each script is loaded by path, at tiny sizes; each sets the BLAS
-thread variables when imported, so the environment is restored afterwards.
+cite.  Each script is loaded by path, at tiny sizes; importing their shared
+`_bench` module (on pytest's `pythonpath`) sets the BLAS thread variables,
+so the environment is restored afterwards, and `_bench` is reached only
+through a loaded script.
 """
 
 import importlib.util
+import json
 import os
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -64,8 +68,41 @@ def test_bench_sinkhorn_splits_iterations(bench_sinkhorn, monkeypatch):
 @pytest.mark.parametrize("mode", ["deterministic", "em"])
 def test_bench_atlas_measures(bench_atlas, monkeypatch, mode):
     monkeypatch.setattr(bench_atlas, "REPEATS", 1)
-    dataset = bench_atlas.source(20, 0.5, 11)
+    dataset = bench_atlas._bench.adversarial_pair(20, 0.5, 11)[0]
     record = bench_atlas.measure(dataset, 2, mode)
     assert set(record) == {"build_atlas_s", "assign_dataset_states_s", "sha1"}
     assert min(record["build_atlas_s"], record["assign_dataset_states_s"]) >= 0
     assert len(record["sha1"]) == 40
+
+
+TINY = {  # each script's inputs cut to one small problem
+    "bench_knn": lambda script: {"SIZES": (("tiny", 10, 20, 2),), "CALLS": 2},
+    "bench_sinkhorn": lambda script: {
+        "REPEATS": 1, "problems": lambda: [("benchmark", "atlas", 1, script.atlas_problem(20, 1))],
+    },
+    "bench_atlas": lambda script: {
+        "REPEATS": 1,
+        "inputs": lambda: [("benchmark", 1, script._bench.adversarial_pair(20, 0.1, 1)[0], 2, "em")],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(TINY))
+def test_main_merges_labels(name, request, monkeypatch, tmp_path, capsys):
+    script = request.getfixturevalue(name)
+    for attr, value in TINY[name](script).items():
+        monkeypatch.setattr(script, attr, value)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    out, src = tmp_path / "bench.json", SCRIPTS.parent / "src"
+    for label in ("parent", "change"):
+        script.main(["--src", str(src), "--label", label, "--out", str(out)])
+    assert sys.path[0] == str(src.resolve())  # the tree to measure comes first
+    results = json.loads(out.read_text())
+    assert sorted(results) == ["change", "parent"]
+    committed = json.loads((SCRIPTS.parent / f"BENCH_{name.removeprefix('bench_')}.json").read_text())
+    layouts = {tuple(sorted(entry)) for entry in committed.values()}
+    assert {tuple(sorted(entry)) for entry in results.values()} == layouts
+    key = "solves" if name == "bench_sinkhorn" else "records"
+    printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert printed == results["parent"][key] + results["change"][key]
+    assert len(printed) == 2 * (3 if name == "bench_sinkhorn" else 1)
