@@ -19,6 +19,7 @@ import json
 import os
 import platform
 import sys
+import time
 from pathlib import Path
 
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -54,6 +55,16 @@ def main(argv, doc, out_name, records, key="records", **fields):
         key: made,
     }
     args.out.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
+
+
+def fastest(repeats, fn, *args):
+    """(fastest of `repeats` calls of `fn(*args)` in seconds, the last call's result)."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = fn(*args)
+        best = min(best, time.perf_counter() - start)
+    return round(best, 6), result
 
 
 def adversarial_pair(windows_per_class, noise_std, seed):

@@ -21,7 +21,6 @@ differs.  Flags, BLAS pin and output file are those of `_bench`.
 from __future__ import annotations
 
 import hashlib
-import time
 
 import _bench  # pins BLAS before numpy is imported
 import numpy as np
@@ -41,22 +40,12 @@ def inputs():
             yield "criterion7_noise0.5", CRITERION_7_SEED, noisy, n_states, mode
 
 
-def fastest(fn, *args):
-    """(fastest of `REPEATS` calls in seconds, the last call's result)."""
-    best = float("inf")
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        result = fn(*args)
-        best = min(best, time.perf_counter() - start)
-    return round(best, 6), result
-
-
 def measure(dataset, n_states, mode):
     """One record: seconds of each call and a digest of the atlas and rows."""
     from trot.hmm import assign_dataset_states, build_atlas
 
-    atlas_s, (atlas, rows) = fastest(build_atlas, dataset, n_states, mode)
-    assign_s, _ = fastest(assign_dataset_states, dataset, n_states, mode)
+    atlas_s, (atlas, rows) = _bench.fastest(REPEATS, build_atlas, dataset, n_states, mode)
+    assign_s, _ = _bench.fastest(REPEATS, assign_dataset_states, dataset, n_states, mode)
     digest = hashlib.sha1()
     for values in (atlas.means, atlas.classes, atlas.orders, rows):
         digest.update(np.ascontiguousarray(values).tobytes())

@@ -23,8 +23,6 @@ Flags, BLAS pin and output file are those of `_bench`.
 
 from __future__ import annotations
 
-import time
-
 import _bench  # pins BLAS before numpy is imported
 import numpy as np
 
@@ -71,15 +69,11 @@ def solve(a, b, cost, entropy_weight):
     """One record: scaling iterations, Newton steps, seconds, converged, violation."""
     from trot.ot_core import sinkhorn
 
-    best = float("inf")
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        coupling = sinkhorn(a, b, cost, entropy_weight)
-        best = min(best, time.perf_counter() - start)
+    seconds, coupling = _bench.fastest(REPEATS, sinkhorn, a, b, cost, entropy_weight)
     return {
         "scaling_iters": coupling.iterations - coupling.newton_steps,
         "newton_steps": coupling.newton_steps,
-        "seconds": round(best, 6),
+        "seconds": seconds,
         "converged": bool(coupling.converged),
         "violation": float(coupling.marginal_violation),
     }

@@ -8,6 +8,7 @@ import logging
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,42 +24,67 @@ from .synth import SynthSpec, adversarial_user_shift, generate_user
 log = logging.getLogger("trot")
 
 
+def _preprocess_one(path: Path, out: Path, rate: float, window_sec: float, overlap: float) -> int:
+    """Segment and featurize one recording into `out`; return its window count."""
+    recording = load_recording(path, rate)
+    dataset = build_features(recording, window_sec, overlap)
+    if len(dataset) == 0:  # `load_features` would refuse the header-only file
+        raise InsufficientDataError(
+            f"insufficient data: every window of {path.name} has a tied label count"
+        )
+    save_features(dataset, out / f"{path.stem}.csv")
+    return len(dataset)
+
+
 def _cmd_preprocess(args) -> int:
+    """Preprocess every recording CSV of --input into --out.
+
+    Recordings run in parallel, one forked process per recording up to the
+    CPU count.  Results are taken in sorted path order, so the log lines and
+    the error raised (the first failing recording's) are those of a serial
+    run, though recordings after a failing one may already be written.
+    """
+    from concurrent.futures import ProcessPoolExecutor  # only this command needs a pool
+    from multiprocessing import get_context
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     paths = sorted(Path(args.input).glob("*.csv"))
     if not paths:
         raise TrotError(f"no CSV recordings found in {args.input}")
-    for path in paths:
-        recording = load_recording(path, args.rate)
-        dataset = build_features(recording, args.window_sec, args.overlap)
-        if len(dataset) == 0:  # `load_features` would refuse the header-only file
-            raise InsufficientDataError(
-                f"insufficient data: every window of {path.name} has a tied label count"
-            )
-        save_features(dataset, out / f"{path.stem}.csv")
-        log.info("preprocessed %s: %d windows", path.stem, len(dataset))
+    one = partial(_preprocess_one, out=out, rate=args.rate, window_sec=args.window_sec,
+                  overlap=args.overlap)
+    # fork, from a process that has started no thread: spawn and forkserver would
+    # re-import trot in every worker, and forkserver leaves its server running
+    with ProcessPoolExecutor(min(len(paths), os.cpu_count() or 1), get_context("fork")) as pool:
+        for path, windows in zip(paths, pool.map(one, paths)):
+            log.info("preprocessed %s: %d windows", path.stem, windows)
     return 0
 
 
 def _adapt_grid(args):
     """One setting of the --lambda/--eta/--tau given (TrotHyperparams' defaults
-    for the rest), or the method's default grid when none is given."""
+    for the rest), or the method's default grid when none is given.  Only trot
+    takes --states and --order-mode."""
+    if args.method != "trot":
+        for flag, value in (("--states", args.states), ("--order-mode", args.order_mode)):
+            if value is not None:
+                raise ValueError(f"{flag} applies to trot only, not {args.method}")
+    chain = {
+        "n_states": TrotHyperparams.n_states if args.states is None else args.states,
+        "order_mode": args.order_mode or TrotHyperparams.order_mode,
+    }
     given = {
         name: getattr(args, name)
         for name in ("entropy_weight", "group_weight", "order_weight")
         if getattr(args, name) is not None
     }
     if given:
-        return (TrotHyperparams(**given, order_mode=args.order_mode, n_states=args.states),)
+        return (TrotHyperparams(**given, **chain),)
     grid = default_grid(args.method)
     if args.method == "trot":
         # the 36 (lambda, eta, tau) points of the default grid at --states and --order-mode
-        grid = tuple(
-            replace(h, n_states=args.states, order_mode=args.order_mode)
-            for h in grid
-            if h.n_states == grid[0].n_states
-        )
+        grid = tuple(replace(h, **chain) for h in grid if h.n_states == grid[0].n_states)
     return grid
 
 
@@ -117,7 +143,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("preprocess", help="segment recordings and extract window features")
+    p = sub.add_parser(
+        "preprocess", help="segment recordings and extract window features",
+        description="Segment each recording CSV and extract window features. Recordings run in "
+        "parallel, one process per recording up to the CPU count.",
+    )
     p.add_argument("--input", required=True, help="directory of recording CSVs")
     p.add_argument("--rate", required=True, type=float, help="sample rate in Hz")
     p.add_argument("--window-sec", type=float, default=3.0)
@@ -129,12 +159,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True, help="source user feature CSV")
     p.add_argument("--target", required=True, help="target user feature CSV")
     p.add_argument("--method", default="trot", choices=METHODS)
-    p.add_argument("--states", type=int, default=4, help="temporal states per activity")
+    p.add_argument("--states", type=int, default=None,
+                   help="temporal states per activity (trot only, default 4)")
     p.add_argument("--lambda", dest="entropy_weight", type=float, default=None,
                    help="entropy weight; giving any of --lambda/--eta/--tau pins a single setting")
     p.add_argument("--eta", dest="group_weight", type=float, default=None)
     p.add_argument("--tau", dest="order_weight", type=float, default=None)
-    p.add_argument("--order-mode", default="mismatched", choices=("matched", "mismatched"))
+    p.add_argument("--order-mode", default=None, choices=("matched", "mismatched"),
+                   help="trot only, default mismatched")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", default=None, help="write the task report JSON here")
     p.set_defaults(func=_cmd_adapt)

@@ -1,6 +1,11 @@
 import csv
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,16 +13,14 @@ import pytest
 from trot.cli import _adapt_grid, build_parser, main
 from trot.harness import default_grid
 from trot.ot_core import TrotHyperparams
-from trot.preprocess import load_features
+from trot.preprocess import build_features, load_features, load_recording, save_features
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-@pytest.fixture
-def recording_dir(tmp_path):
-    raw = tmp_path / "raw"
-    raw.mkdir()
-    rng = np.random.default_rng(0)
-    n = 600  # 20 s at 30 Hz, two activities
-    with open(raw / "userA.csv", "w", newline="") as fh:
+def write_recording(path, n, rng):
+    """`n` samples at 30 Hz, two activities, as a recording CSV."""
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["timestamp", "acc_x", "acc_y", "acc_z",
                          "gyro_x", "gyro_y", "gyro_z", "label"])
@@ -26,6 +29,13 @@ def recording_dir(tmp_path):
             scale = 1.0 if label == 0 else 3.0
             row = scale * np.ones(6) + rng.normal(0, 0.1, 6)
             writer.writerow([i / 30.0, *np.round(row, 5), label])
+
+
+@pytest.fixture
+def recording_dir(tmp_path):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    write_recording(raw / "userA.csv", 600, np.random.default_rng(0))  # 20 s
     return raw
 
 
@@ -69,6 +79,75 @@ def test_preprocess_rejects_non_finite_geometry(recording_dir, tmp_path, capsys,
     assert payload == {"error": "ValueError", "message": message}
 
 
+@pytest.fixture
+def recordings_dir(tmp_path):
+    """Three recordings of different lengths, written out of sorted order."""
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    rng = np.random.default_rng(1)
+    for name, n in (("userC", 1200), ("userA", 600), ("userB", 900)):
+        write_recording(raw / f"{name}.csv", n, rng)
+    return raw
+
+
+def test_preprocess_several_recordings_match_one_at_a_time(recordings_dir, tmp_path, caplog):
+    out, expected = tmp_path / "feats", tmp_path / "expected"
+    expected.mkdir()
+    with caplog.at_level("INFO", logger="trot"):
+        assert main(["preprocess", "--input", str(recordings_dir), "--rate", "30",
+                     "--out", str(out)]) == 0
+    assert multiprocessing.active_children() == []
+    paths = sorted(recordings_dir.glob("*.csv"))
+    assert sorted(p.name for p in out.iterdir()) == [p.name for p in paths]
+    windows = []
+    for path in paths:
+        dataset = build_features(load_recording(path, 30.0))
+        save_features(dataset, expected / path.name)
+        assert (out / path.name).read_bytes() == (expected / path.name).read_bytes()
+        windows.append(len(dataset))
+    assert len(set(windows)) == 3  # the lengths differ
+    assert caplog.messages == [
+        f"preprocessed {path.stem}: {n} windows" for path, n in zip(paths, windows)
+    ]
+
+
+def test_preprocess_reports_first_failing_recording(recordings_dir, tmp_path, capsys):
+    # userAB fails in load_recording and userBB in the empty-dataset check;
+    # userAB comes first in sorted order, so its error is the one reported
+    lines = ["timestamp,acc_x,acc_y,acc_z,gyro_x,gyro_y,gyro_z,label"]
+    tied = lines + [f"{i / 30},1,2,2,0.1,0.2,0.2,{i % 2}" for i in range(180)]
+    (recordings_dir / "userBB.csv").write_text("\n".join(tied))
+    bad = lines + [f"{i / 30},1,2,2,0.1,0.2,0.2,0" for i in range(180)] + ["nan,1,2,2,0.1,0.2,0.2,0"]
+    (recordings_dir / "userAB.csv").write_text("\n".join(bad))
+    out = tmp_path / "feats"
+    assert main(["preprocess", "--input", str(recordings_dir), "--rate", "30",
+                 "--out", str(out)]) == 1
+    assert multiprocessing.active_children() == []
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {
+        "error": "InvalidSampleError", "message": "invalid sample: non-finite timestamp in userAB.csv",
+    }
+    assert not (out / "userAB.csv").exists() and not (out / "userBB.csv").exists()
+
+
+def test_adapt_loads_no_process_pool(tmp_path):
+    # only `trot preprocess` needs a pool; importing one costs every other command's start-up
+    script = f"""
+import sys
+from trot.cli import main
+data = {str(tmp_path / "synth")!r}
+assert main(["synth", "--classes", "2", "--states", "2", "--windows", "24", "--dim", "2",
+             "--noise", "0.1", "--seed", "3", "--out", data]) == 0
+assert main(["adapt", "--source", data + "/user0.csv", "--target", data + "/user1.csv",
+             "--states", "2", "--lambda", "1"]) == 0
+print(sorted(m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules))
+"""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 def _adapt_grid_for(*flags):
     argv = ["adapt", "--source", "s.csv", "--target", "t.csv", *flags]
     return _adapt_grid(build_parser().parse_args(argv))
@@ -84,9 +163,15 @@ def test_default_trot_grid_follows_states_and_order_mode():
 
 def test_given_weights_pin_one_setting_on_the_other_defaults():
     assert _adapt_grid_for("--eta", "0.5") == (TrotHyperparams(group_weight=0.5, n_states=4),)
-    assert _adapt_grid_for("--method", "ot", "--lambda", "1", "--states", "2") == (
+    assert _adapt_grid_for("--lambda", "1", "--states", "2") == (
         TrotHyperparams(entropy_weight=1.0, n_states=2),
     )
+    assert _adapt_grid_for("--method", "ot", "--lambda", "1") == (TrotHyperparams(entropy_weight=1.0),)
+
+
+@pytest.mark.parametrize("method", ["na", "td", "ot", "otda", "coral"])
+def test_other_methods_keep_their_grids(method):
+    assert _adapt_grid_for("--method", method) == default_grid(method)
 
 
 def test_synth_adapt_matrix_roundtrip(tmp_path, capsys):
@@ -140,6 +225,13 @@ def test_error_exit_emits_json(tmp_path, capsys):
         (["--method", "na", "--lambda", "0.1"], "na takes no hyperparameters: its grid entries must be None"),
         (["--method", "td", "--eta", "1"], "td takes no hyperparameters: its grid entries must be None"),
         (["--method", "coral", "--tau", "1"], "coral takes no hyperparameters: its grid entries must be None"),
+        # each once exited 0 with the flag ignored, otda's report saying n_states 4
+        (["--method", "otda", "--states", "7"], "--states applies to trot only, not otda"),
+        (["--method", "otda", "--order-mode", "matched"], "--order-mode applies to trot only, not otda"),
+        (["--method", "ot", "--states", "2"], "--states applies to trot only, not ot"),
+        (["--method", "na", "--order-mode", "mismatched"], "--order-mode applies to trot only, not na"),
+        (["--method", "td", "--states", "4"], "--states applies to trot only, not td"),
+        (["--method", "coral", "--order-mode", "matched"], "--order-mode applies to trot only, not coral"),
     ],
 )
 def test_adapt_rejects_unusable_setting(tmp_path, capsys, flags, message):

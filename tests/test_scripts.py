@@ -1,8 +1,8 @@
 """The measurement scripts still run against the trot API.
 
-`scripts/bench_knn.py`, `scripts/bench_sinkhorn.py` and
-`scripts/bench_atlas.py` write the `BENCH_*.json` files that speed claims
-cite.  Each script is loaded by path, at tiny sizes; importing their shared
+`scripts/bench_knn.py`, `scripts/bench_sinkhorn.py`,
+`scripts/bench_atlas.py` and `scripts/bench_preprocess.py` write the
+`BENCH_*.json` files that speed claims cite.  Each script is loaded by path, at tiny sizes; importing their shared
 `_bench` module (on pytest's `pythonpath`) sets the BLAS thread variables,
 so the environment is restored afterwards, and `_bench` is reached only
 through a loaded script.
@@ -45,6 +45,11 @@ def bench_atlas():
     return load_script("bench_atlas")
 
 
+@pytest.fixture(scope="module")
+def bench_preprocess():
+    return load_script("bench_preprocess")
+
+
 def test_bench_knn_measures(bench_knn, monkeypatch):
     monkeypatch.setattr(bench_knn, "CALLS", 2)
     record = bench_knn.measure(*bench_knn.datasets(10, 20, 2))
@@ -75,6 +80,18 @@ def test_bench_atlas_measures(bench_atlas, monkeypatch, mode):
     assert len(record["sha1"]) == 40
 
 
+def test_bench_preprocess_call_writes_what_the_layers_write(bench_preprocess, monkeypatch):
+    monkeypatch.setattr(bench_preprocess, "REPEATS", 1)
+    monkeypatch.setattr(bench_preprocess, "MINUTES", 1.0)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    *layers, call = bench_preprocess.records()
+    assert [r["input"] for r in layers] == ["user0", "user1", "user2"]
+    assert all(min(r["load_recording_s"], r["build_features_s"], r["save_features_s"]) >= 0 for r in layers)
+    assert call["recordings"] == 3 and call["seconds"] > 0
+    assert call["windows"] == sum(r["windows"] for r in layers) > 0
+    assert call["sha1"] == {r["input"]: r["sha1"] for r in layers}
+
+
 TINY = {  # each script's inputs cut to one small problem
     "bench_knn": lambda script: {"SIZES": (("tiny", 10, 20, 2),), "CALLS": 2},
     "bench_sinkhorn": lambda script: {
@@ -84,7 +101,9 @@ TINY = {  # each script's inputs cut to one small problem
         "REPEATS": 1,
         "inputs": lambda: [("benchmark", 1, script._bench.adversarial_pair(20, 0.1, 1)[0], 2, "em")],
     },
+    "bench_preprocess": lambda script: {"REPEATS": 1, "MINUTES": 1.0},
 }
+RECORDS = {"bench_sinkhorn": 3, "bench_preprocess": 4}  # per label; the others make 1
 
 
 @pytest.mark.parametrize("name", sorted(TINY))
@@ -105,4 +124,4 @@ def test_main_merges_labels(name, request, monkeypatch, tmp_path, capsys):
     key = "solves" if name == "bench_sinkhorn" else "records"
     printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert printed == results["parent"][key] + results["change"][key]
-    assert len(printed) == 2 * (3 if name == "bench_sinkhorn" else 1)
+    assert len(printed) == 2 * RECORDS.get(name, 1)
