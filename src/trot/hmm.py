@@ -52,6 +52,13 @@ class TemporalAtlas:
     classes: np.ndarray  # (C*N,) int
     orders: np.ndarray  # (C*N,) int
 
+    @classmethod
+    def from_chains(cls, means: np.ndarray, classes: np.ndarray) -> TemporalAtlas:
+        """The atlas of C chains of N states: `means` (C, N, d) holds the state
+        of order k + 1 of the chain of class `classes[c]` at [c, k]."""
+        c, n, d = means.shape
+        return cls(means.reshape(c * n, d), np.repeat(classes, n), np.tile(np.arange(1, n + 1), c))
+
     @property
     def weights(self) -> np.ndarray:
         return np.full(len(self), 1.0 / len(self))
@@ -171,7 +178,7 @@ def _fit_class(
             f"insufficient class data: {len(class_windows)} windows < {n_states} states"
         )
     path = run_steps(class_windows.window_index) % n_states
-    if len(np.unique(path)) < n_states:
+    if np.bincount(path, minlength=n_states).min() == 0:
         raise InsufficientDataError(NO_WINDOWS)
     members = [class_windows.features[path == k] for k in range(n_states)]
     means = np.array([m.mean(axis=0) for m in members])
@@ -208,12 +215,7 @@ def build_atlas(
     rows = position * n_states
     for i, (_, path) in enumerate(fits):
         rows[position == i] += path
-    atlas = TemporalAtlas(
-        np.concatenate([model.means for model, _ in fits]),
-        np.repeat(classes, n_states),
-        np.tile(np.arange(1, n_states + 1), len(classes)),
-    )
-    return atlas, rows
+    return TemporalAtlas.from_chains(np.stack([model.means for model, _ in fits]), classes), rows
 
 
 def assign_dataset_states(

@@ -197,7 +197,8 @@ def group_sparse(gamma: np.ndarray, classes: np.ndarray) -> tuple[float, np.ndar
     Subgradient: gamma over its own group's norm; zero-norm groups get 0.
     """
     gamma = np.asarray(gamma, dtype=float)
-    members = (np.unique(classes)[:, None] == np.asarray(classes)).astype(float)
+    values, groups = np.unique(classes, return_inverse=True)
+    members = (np.arange(len(values))[:, None] == groups).astype(float)
     norms = np.sqrt(members @ gamma**2)  # (G, k_t)
     denom = members.T @ norms  # each row's own group norm, per column
     return float(norms.sum()), np.divide(gamma, denom, out=np.zeros_like(gamma), where=denom > 0)

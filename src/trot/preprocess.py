@@ -198,7 +198,10 @@ def _mode(x: np.ndarray) -> np.ndarray:
     b[b == 10] = 9
     b -= xb < np.take_along_axis(edges, b, axis=-1)
     b += (xb >= np.take_along_axis(edges, b + 1, axis=-1)) & (b != 9)
-    counts = (b[..., None] == np.arange(10)).sum(axis=-2)
+    # one bincount over (series, bin) codes: row i counts series i's bins
+    rows = b.reshape(-1, b.shape[-1])
+    codes = rows + 10 * np.arange(len(rows))[:, None]
+    counts = np.bincount(codes.ravel(), minlength=10 * len(rows)).reshape(*b.shape[:-1], 10)
     top = counts.argmax(axis=-1)[..., None]
     mid = (np.take_along_axis(edges, top, -1) + np.take_along_axis(edges, top + 1, -1)) / 2.0
     return np.where(flat, lo, mid[..., 0])
@@ -299,14 +302,12 @@ def _read_csv(path: Path, header_ok) -> np.ndarray:
         header = next(csv.reader([fh.readline()]), [])
         if not header_ok(header):
             raise InvalidSampleError(f"invalid sample: bad header in {path.name}")
-        body = fh.tell()
         if not any(line.strip() for line in fh):  # stops at the first row with content
             raise InsufficientDataError(f"insufficient data: {path.name} is empty")
-        fh.seek(body)
-        try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, quotechar='"')
-        except ValueError as exc:
-            raise InvalidSampleError(f"invalid sample: {exc} in {path.name}") from exc
+    try:
+        data = np.loadtxt(path, delimiter=",", ndmin=2, comments=None, quotechar='"', skiprows=1)
+    except ValueError as exc:
+        raise InvalidSampleError(f"invalid sample: {exc} in {path.name}") from exc
     if data.shape[1] != len(header):
         width = f"{data.shape[1]} values under {len(header)} columns"
         raise InvalidSampleError(f"invalid sample: {width} in {path.name}")

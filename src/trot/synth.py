@@ -51,14 +51,11 @@ class SynthSpec:
 def state_grid(spec: SynthSpec) -> np.ndarray:
     """True state centers, shape (C, N, d): classes along axis 0 of feature
     space, states along axis 1, zigzagging direction per class parity."""
+    c, k = np.arange(spec.n_classes)[:, None], np.arange(spec.n_states)
     mu = np.zeros((spec.n_classes, spec.n_states, spec.feature_dim))
-    for c in range(spec.n_classes):
-        mu[c, :, 0] = c * spec.class_separation
-        pos = np.arange(spec.n_states)
-        if c % 2 == 1:
-            pos = pos[::-1]
-        if spec.feature_dim > 1:
-            mu[c, :, 1] = pos * spec.state_separation
+    mu[..., 0] = c * spec.class_separation
+    if spec.feature_dim > 1:
+        mu[..., 1] = np.where(c % 2 == 1, spec.n_states - 1 - k, k) * spec.state_separation
     return mu
 
 
@@ -66,33 +63,21 @@ def adversarial_user_shift(spec: SynthSpec, scale: float = 1.0) -> np.ndarray:
     """Per-class translation that drops each shifted class nearest to a
     neighboring class of the source grid (alternating +/- 0.7 class
     separations along the class axis), constant across temporal states."""
+    sign = np.where(np.arange(spec.n_classes) % 2 == 0, 1.0, -1.0)
     shift = np.zeros((spec.n_classes, spec.n_states, spec.feature_dim))
-    for c in range(spec.n_classes):
-        sign = 1.0 if c % 2 == 0 else -1.0
-        shift[c, :, 0] = sign * 0.7 * spec.class_separation * scale
+    shift[..., 0] = (sign * 0.7 * spec.class_separation * scale)[:, None]
     return shift
 
 
-def _schedule(spec: SynthSpec) -> list[tuple[int, int]]:
-    """(class, run_length) blocks; every run is long enough for one full
-    state cycle."""
+def _schedule(spec: SynthSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Each window's class and chain state: `rounds` round-robin passes over
+    the classes, every run long enough for one full state cycle, and states
+    cycling 0..N-1 from each run's start."""
     rounds = max(1, min(spec.rounds, spec.windows_per_class // spec.n_states))
     base, extra = divmod(spec.windows_per_class, rounds)
-    blocks = []
-    for r in range(rounds):
-        length = base + (1 if r < extra else 0)
-        for c in range(spec.n_classes):
-            blocks.append((c, length))
-    return blocks
-
-
-def _truth_atlas(mu: np.ndarray) -> TemporalAtlas:
-    c, n, d = mu.shape
-    return TemporalAtlas(
-        mu.reshape(c * n, d),
-        np.repeat(np.arange(c), n),
-        np.tile(np.arange(1, n + 1), c),
-    )
+    lengths = np.repeat(base + (np.arange(rounds) < extra), spec.n_classes)
+    step = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return np.tile(np.arange(spec.n_classes), rounds).repeat(lengths), step % spec.n_states
 
 
 def generate_user(
@@ -102,16 +87,10 @@ def generate_user(
     mu = state_grid(spec)
     if shift is not None:
         mu = mu + shift
-    feats, labels = [], []
-    for c, length in _schedule(spec):
-        states = np.arange(length) % spec.n_states
-        feats.append(mu[c, states] + rng.normal(0.0, spec.noise_std, (length, spec.feature_dim)))
-        labels.append(np.full(length, c))
-    features = np.concatenate(feats)
-    dataset = FeatureDataset(
-        features, np.concatenate(labels), np.arange(len(features)), user_id
-    )
-    return dataset, _truth_atlas(mu)
+    classes, states = _schedule(spec)
+    noise = rng.normal(0.0, spec.noise_std, (len(classes), spec.feature_dim))
+    dataset = FeatureDataset(mu[classes, states] + noise, classes, np.arange(len(classes)), user_id)
+    return dataset, TemporalAtlas.from_chains(mu, np.arange(spec.n_classes))
 
 
 def generate_pair(spec: SynthSpec):

@@ -131,7 +131,9 @@ def test_preprocess_reports_first_failing_recording(recordings_dir, tmp_path, ca
 
 
 def test_adapt_loads_no_process_pool(tmp_path):
-    # only `trot preprocess` needs a pool; importing one costs every other command's start-up
+    # only `trot preprocess` needs a pool, and nothing needs `numpy.ma`, which
+    # `np.unique` imports unless asked for inverse or counts; importing either
+    # costs every other command's start-up
     script = f"""
 import sys
 from trot.cli import main
@@ -139,8 +141,8 @@ data = {str(tmp_path / "synth")!r}
 assert main(["synth", "--classes", "2", "--states", "2", "--windows", "24", "--dim", "2",
              "--noise", "0.1", "--seed", "3", "--out", data]) == 0
 assert main(["adapt", "--source", data + "/user0.csv", "--target", data + "/user1.csv",
-             "--states", "2", "--lambda", "1"]) == 0
-print(sorted(m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules))
+             "--method", "trot", "--states", "2", "--lambda", "1", "--eta", "0.1", "--tau", "1"]) == 0
+print(sorted(m for m in ("multiprocessing", "concurrent.futures", "numpy.ma") if m in sys.modules))
 """
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)

@@ -424,12 +424,14 @@ class TestBuildAtlas:
         assert atlas.weights.tolist() == [1.0]
         assert atlas.means[0] == pytest.approx(feats.mean(axis=0))
 
-    def test_canonical_ordering(self, rng):
+    @pytest.mark.parametrize("values", [[2, 0, 1], [9, 3, 7]])
+    def test_canonical_ordering(self, rng, values):
         feats = rng.normal(0, 1, (60, 2))
-        labels = np.tile(np.repeat([2, 0, 1], 10), 2)
+        labels = np.tile(np.repeat(values, 10), 2)
         atlas, _ = build_atlas(make_dataset(feats, labels), 2)
+        low, mid, high = sorted(values)
         assert list(zip(atlas.classes.tolist(), atlas.orders.tolist())) == [
-            (0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2)
+            (low, 1), (low, 2), (mid, 1), (mid, 2), (high, 1), (high, 2)
         ]
 
     def test_missing_class_raises(self, rng):

@@ -347,6 +347,18 @@ class TestSensorFeatures:
         # correction decides which bin is most populated
         assert sensor_features(np.array(x))[3] == reference_sensor_features(x)[3]
 
+    def test_mode_of_a_stack_bins_each_series_like_histogram(self):
+        stack = np.array([
+            [2.5, 2.5, 2.5],  # constant: its own mode
+            [0.0, 10.0, 5.0],  # bins 0, 9 and 5 tie: the lowest wins
+            [0.0, 0.2, 1.0],  # 0.2 lies on the edge of bins 1 and 2
+            [0.3333333333333333, 3.333333333333333, 3.6666666666666665],
+            [2.0999999999999996, 9.1, 8.399999999999999],
+        ])
+        want = [reference_sensor_features(row)[3] for row in stack]
+        assert sensor_features(stack)[:, 3].tolist() == want
+        assert sensor_features(stack[:4].reshape(2, 2, 3))[..., 3].ravel().tolist() == want[:4]
+
     def test_stack_matches_single_series(self, rng):
         stack = rng.normal(0, 1, (5, 16))
         assert np.array_equal(sensor_features(stack)[3], sensor_features(stack[3]))
