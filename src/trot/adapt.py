@@ -18,6 +18,8 @@ from .hmm import TemporalAtlas
 from .ot_core import Coupling
 from .preprocess import FeatureDataset
 
+CORAL_RIDGE = 1e-3  # added to both covariance diagonals so a flat feature still factors
+
 
 def barycentric_project(coupling_values: np.ndarray, locations: np.ndarray) -> np.ndarray:
     """Row-normalized coupling times target locations: each source point moves
@@ -58,14 +60,12 @@ def transform_samples(
     return replace(src_dataset, features=src_dataset.features + displacement[rows])
 
 
-def coral_align(
-    src: FeatureDataset, tgt: FeatureDataset, ridge: float = 1e-3
-) -> FeatureDataset:
+def coral_align(src: FeatureDataset, tgt: FeatureDataset) -> FeatureDataset:
     """Recolor source features so their covariance matches the target's.
 
-    Whitens by the (ridge-regularized) source covariance and recolors by the
-    target covariance via Cholesky factors.  Each side needs at least 2
-    windows for a covariance.
+    Whitens by the source covariance and recolors by the target covariance
+    via Cholesky factors, both with `CORAL_RIDGE` added to the diagonal.
+    Each side needs at least 2 windows for a covariance.
     """
     if len(src) < 2 or len(tgt) < 2:
         raise InsufficientDataError(
@@ -74,8 +74,8 @@ def coral_align(
     if src.dim != tgt.dim:
         raise DimensionMismatchError(f"dimension mismatch: {src.dim} vs {tgt.dim}")
     d = src.dim
-    cov_s = np.cov(src.features, rowvar=False) + ridge * np.eye(d)
-    cov_t = np.cov(tgt.features, rowvar=False) + ridge * np.eye(d)
+    cov_s = np.cov(src.features, rowvar=False) + CORAL_RIDGE * np.eye(d)
+    cov_t = np.cov(tgt.features, rowvar=False) + CORAL_RIDGE * np.eye(d)
     try:
         l_s = np.linalg.cholesky(cov_s)
         l_t = np.linalg.cholesky(cov_t)

@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import InsufficientDataError, TrotError
 from .harness import (
-    METHODS, TaskSpec, default_grid, matrix_to_json, render_table, run_matrix, run_task,
+    DEFAULT_GRIDS, METHODS, TaskSpec, default_grid, matrix_to_json, render_table, run_matrix,
+    run_task,
 )
 from .ot_core import TrotHyperparams
 from .preprocess import build_features, load_features, load_recording, save_features
@@ -64,12 +65,15 @@ def _cmd_preprocess(args) -> int:
 
 def _adapt_grid(args):
     """One setting of the --lambda/--eta/--tau given (TrotHyperparams' defaults
-    for the rest), or the method's default grid when none is given.  Only trot
-    takes --states and --order-mode."""
-    if args.method != "trot":
-        for flag, value in (("--states", args.states), ("--order-mode", args.order_mode)):
-            if value is not None:
-                raise ValueError(f"{flag} applies to trot only, not {args.method}")
+    for the rest), or the method's default grid when none is given.  --states
+    and --order-mode apply to the methods whose `DEFAULT_GRIDS` entry holds
+    n_states and order_mode."""
+    searched = DEFAULT_GRIDS.get(args.method, {})
+    for flag, name, value in (("--states", "n_states", args.states),
+                              ("--order-mode", "order_mode", args.order_mode)):
+        if value is not None and name not in searched:
+            takers = " and ".join(m for m, entry in DEFAULT_GRIDS.items() if name in entry)
+            raise ValueError(f"{flag} applies to {takers} only, not {args.method}")
     chain = {
         "n_states": TrotHyperparams.n_states if args.states is None else args.states,
         "order_mode": args.order_mode or TrotHyperparams.order_mode,
@@ -82,8 +86,8 @@ def _adapt_grid(args):
     if given:
         return (TrotHyperparams(**given, **chain),)
     grid = default_grid(args.method)
-    if args.method == "trot":
-        # the 36 (lambda, eta, tau) points of the default grid at --states and --order-mode
+    if "n_states" in searched:
+        # the default grid's points at its first n_states, moved to --states and --order-mode
         grid = tuple(replace(h, **chain) for h in grid if h.n_states == grid[0].n_states)
     return grid
 

@@ -14,7 +14,7 @@ import functools
 import json
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import product
 from pathlib import Path
 
@@ -35,13 +35,17 @@ from .ot_core import (
 from .preprocess import FeatureDataset, fit_maxabs, load_features, maxabs_fit_apply
 
 METHODS = ("na", "td", "ot", "otda", "coral", "trot")
-GRID_METHODS = ("ot", "otda", "trot")  # the methods that search a TrotHyperparams grid
 MAX_COUPLING_WINDOWS = 500  # window-level baselines subsample beyond this
 
-DEFAULT_ENTROPY_GRID = (0.01, 0.1, 1.0)
-DEFAULT_GROUP_GRID = (0.0, 0.1, 1.0)
-DEFAULT_ORDER_GRID = (0.0, 0.1, 1.0, 10.0)
-DEFAULT_STATES_GRID = (2, 4)
+# The methods that search a TrotHyperparams grid, each with the fields it reads
+# and the values its default grid searches, outermost first.  A field left out
+# is one the method never reads: its grid entries must keep the field's default.
+DEFAULT_GRIDS = {
+    "ot": {"entropy_weight": (0.01, 0.1, 1.0)},
+    "otda": {"entropy_weight": (0.01, 0.1, 1.0), "group_weight": (0.0, 0.1, 1.0)},
+    "trot": {"n_states": (2, 4), "entropy_weight": (0.01, 0.1, 1.0), "group_weight": (0.0, 0.1, 1.0),
+             "order_weight": (0.0, 0.1, 1.0, 10.0), "order_mode": ("mismatched",)},
+}
 
 
 @dataclass(frozen=True)
@@ -62,16 +66,18 @@ class TaskSpec:
         if method != "td" and self.source_user == self.target_user:
             raise ValueError("source and target user must differ (except for td)")
         if self.hyper_grid is not None:
-            object.__setattr__(self, "hyper_grid", tuple(self.hyper_grid))
-            if method in GRID_METHODS and not all(
-                isinstance(hyper, TrotHyperparams) for hyper in self.hyper_grid
-            ):
-                raise ValueError(f"{method} grid entries must be TrotHyperparams")
-            if method not in GRID_METHODS and any(hyper is not None for hyper in self.hyper_grid):
+            grid = tuple(self.hyper_grid)
+            object.__setattr__(self, "hyper_grid", grid)
+            searched = DEFAULT_GRIDS.get(method)
+            if searched is None and any(hyper is not None for hyper in grid):
                 raise ValueError(f"{method} takes no hyperparameters: its grid entries must be None")
-        for name in {"ot": ("group_weight", "order_weight"), "otda": ("order_weight",)}.get(method, ()):
-            if any(getattr(hyper, name) > 0 for hyper in self.hyper_grid or ()):
-                raise ValueError(f"{method} does not take {name} > 0")
+            if searched is not None and not all(isinstance(hyper, TrotHyperparams) for hyper in grid):
+                raise ValueError(f"{method} grid entries must be TrotHyperparams")
+            for field in fields(TrotHyperparams) if searched is not None else ():
+                if field.name not in searched and any(
+                    getattr(hyper, field.name) != field.default for hyper in grid
+                ):
+                    raise ValueError(f"{method} does not take {field.name} != {field.default!r}")
         # checked here so a matrix fails before any task, not at its first ot task
         if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
@@ -113,25 +119,14 @@ class AdaptReport:
 
 
 def default_grid(method: str) -> tuple[TrotHyperparams | None, ...]:
-    """Hyperparameter grid searched on the validation half for one method."""
-    method = method.lower()
-    if method == "trot":
-        return tuple(
-            TrotHyperparams(
-                entropy_weight=lam, group_weight=eta, order_weight=tau, n_states=n
-            )
-            for n, lam, eta, tau in product(
-                DEFAULT_STATES_GRID, DEFAULT_ENTROPY_GRID, DEFAULT_GROUP_GRID, DEFAULT_ORDER_GRID
-            )
-        )
-    if method == "otda":
-        return tuple(
-            TrotHyperparams(entropy_weight=lam, group_weight=eta)
-            for lam, eta in product(DEFAULT_ENTROPY_GRID, DEFAULT_GROUP_GRID)
-        )
-    if method == "ot":
-        return tuple(TrotHyperparams(entropy_weight=lam) for lam in DEFAULT_ENTROPY_GRID)
-    return (None,)  # na, td, coral take no hyperparameters
+    """Hyperparameter grid searched on the validation half for one method:
+    the product of its `DEFAULT_GRIDS` entry, or `(None,)` for na, td, coral."""
+    searched = DEFAULT_GRIDS.get(method.lower())
+    if searched is None:
+        return (None,)
+    return tuple(
+        TrotHyperparams(**dict(zip(searched, values))) for values in product(*searched.values())
+    )
 
 
 def knn1_classify(train: FeatureDataset, query: FeatureDataset) -> np.ndarray:

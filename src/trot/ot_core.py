@@ -209,14 +209,17 @@ def temporal_reg(
 ) -> tuple[float, np.ndarray]:
     """Row-wise L2 norms of gamma masked by temporal order.
 
-    `same_order` is the (k_s, k_t) mask of same-order pairs.  "matched"
+    `same_order` is the (k_s, k_t) boolean mask of same-order pairs.  "matched"
     norms each row's same-order entries (the literal group definition);
     "mismatched" norms the complement so order-violating mass is what gets
-    penalized; any other mode raises `ValueError`.  Subgradient: masked row
-    over its norm; zero rows get 0.
+    penalized; any other mode, or a mask of another dtype, raises
+    `ValueError`.  Subgradient: masked row over its norm; zero rows get 0.
     """
     if mode not in ("matched", "mismatched"):
         raise ValueError(f"unknown mode {mode!r}")
+    same_order = np.asarray(same_order)
+    if same_order.dtype != bool:  # ~ of an int mask is a bitwise not: every entry nonzero
+        raise ValueError(f"same_order must be a boolean mask, got dtype {same_order.dtype}")
     gamma = np.asarray(gamma, dtype=float)
     masked = np.where(same_order if mode == "matched" else ~same_order, gamma, 0.0)
     norms = np.sqrt((masked**2).sum(axis=1, keepdims=True))

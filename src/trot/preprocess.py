@@ -25,6 +25,7 @@ from .errors import (
     InvalidOverlapError,
     InvalidSampleError,
     ScalerMismatchError,
+    TrotError,
 )
 
 CHANNEL_NAMES = ("acc_x", "acc_y", "acc_z", "gyro_x", "gyro_y", "gyro_z")
@@ -139,6 +140,13 @@ def _window_geometry(recording: Recording, window_seconds: float, overlap_fracti
     return w, step
 
 
+def _row_counts(codes: np.ndarray, k: int) -> np.ndarray:
+    """(n, k) counts of each code 0..k-1 in each row of the (n, w) `codes`,
+    by one bincount over (row, code) pairs."""
+    n = len(codes)
+    return np.bincount((codes + k * np.arange(n)[:, None]).ravel(), minlength=n * k).reshape(n, k)
+
+
 def segment(recording: Recording, window_seconds: float, overlap_fraction: float) -> list[RawWindow]:
     """Cut a recording into fixed-duration windows with fractional overlap.
 
@@ -150,10 +158,7 @@ def segment(recording: Recording, window_seconds: float, overlap_fraction: float
     w, step = _window_geometry(recording, window_seconds, overlap_fraction)
     values, codes = np.unique(recording.labels, return_inverse=True)
     windows = sliding_window_view(codes, w)[::step]
-    n, k = len(windows), len(values)
-    # one bincount over (window, label code) pairs: row i counts window i's labels
-    pairs = windows + k * np.arange(n)[:, None]
-    counts = np.bincount(pairs.ravel(), minlength=n * k).reshape(n, k)
+    counts = _row_counts(windows, len(values))
     top = counts.max(axis=1, keepdims=True)
     kept = np.flatnonzero(np.count_nonzero(counts == top, axis=1) == 1)  # ties are dropped
     labels = values[counts[kept].argmax(axis=1)].astype(int)
@@ -198,10 +203,7 @@ def _mode(x: np.ndarray) -> np.ndarray:
     b[b == 10] = 9
     b -= xb < np.take_along_axis(edges, b, axis=-1)
     b += (xb >= np.take_along_axis(edges, b + 1, axis=-1)) & (b != 9)
-    # one bincount over (series, bin) codes: row i counts series i's bins
-    rows = b.reshape(-1, b.shape[-1])
-    codes = rows + 10 * np.arange(len(rows))[:, None]
-    counts = np.bincount(codes.ravel(), minlength=10 * len(rows)).reshape(*b.shape[:-1], 10)
+    counts = _row_counts(b.reshape(-1, b.shape[-1]), 10).reshape(*b.shape[:-1], 10)
     top = counts.argmax(axis=-1)[..., None]
     mid = (np.take_along_axis(edges, top, -1) + np.take_along_axis(edges, top + 1, -1)) / 2.0
     return np.where(flat, lo, mid[..., 0])
@@ -349,7 +351,13 @@ def save_features(dataset: FeatureDataset, path) -> None:
     """Write `window_index,label,f0..f{d-1}` CSV (label -1 when unlabeled).
 
     Features go out as Python floats, whose `%s` is `repr(float)`, and rows
-    end in CRLF, so the bytes are those a `csv.writer` row loop gives."""
+    end in CRLF, so the bytes are those a `csv.writer` row loop gives.  A
+    labelled dataset holding label -1 is refused: the file could not say
+    which of its windows are unlabelled."""
+    if dataset.labels is not None and np.any(dataset.labels == -1):
+        raise InvalidSampleError(
+            f"invalid sample: label -1 marks unlabelled windows, not written to {Path(path).name}"
+        )
     labels = dataset.labels if dataset.labels is not None else np.full(len(dataset), -1)
     header = ",".join(["window_index", "label", *(f"f{i}" for i in range(dataset.dim))])
     with open(path, "w", newline="") as fh:
@@ -361,7 +369,8 @@ def save_features(dataset: FeatureDataset, path) -> None:
 
 
 def load_features(path, user_id: str | None = None) -> FeatureDataset:
-    """Read a feature CSV written by `save_features`."""
+    """Read a feature CSV written by `save_features`: label -1 on every row
+    means unlabelled, on some rows only it is refused."""
     path = Path(path)
     data = _read_csv(path, lambda header: header[:2] == ["window_index", "label"])
     if not _integral(data[:, :2]):
@@ -369,8 +378,11 @@ def load_features(path, user_id: str | None = None) -> FeatureDataset:
     if not np.all(np.isfinite(data[:, 2:])):
         raise InvalidSampleError(f"invalid sample: non-finite feature in {path.name}")
     index, labels = data[:, :2].astype(int).T
+    unlabelled = labels == -1
+    if unlabelled.any() and not unlabelled.all():
+        raise InvalidSampleError(f"invalid sample: label -1 among labelled windows in {path.name}")
     user_id = user_id if user_id is not None else path.stem
     try:
-        return FeatureDataset(data[:, 2:], None if np.all(labels == -1) else labels, index, user_id)
-    except DimensionMismatchError as exc:  # a file with no feature column
-        raise DimensionMismatchError(f"{exc} in {path.name}") from exc
+        return FeatureDataset(data[:, 2:], None if unlabelled.all() else labels, index, user_id)
+    except (TrotError, ValueError) as exc:  # no feature column, window_index out of order
+        raise type(exc)(f"{exc} in {path.name}") from exc

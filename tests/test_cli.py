@@ -215,8 +215,8 @@ def test_error_exit_emits_json(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["--method", "ot", "--eta", "1"], "ot does not take group_weight > 0"),  # once ran plain OT
-        (["--method", "otda", "--tau", "1"], "otda does not take order_weight > 0"),  # once died in GCG
+        (["--method", "ot", "--eta", "1"], "ot does not take group_weight != 0.0"),  # once ran plain OT
+        (["--method", "otda", "--tau", "1"], "otda does not take order_weight != 0.0"),  # once died in GCG
         (["--states", "0", "--lambda", "0.1"], "n_states must be >= 1"),  # once an IndexError
         # once ran with eta = 0 and wrote "group_weight": NaN
         (["--method", "otda", "--lambda", "0.1", "--eta", "nan"],

@@ -12,6 +12,7 @@ from trot import harness, ot_core
 from trot.adapt import barycentric_map, barycentric_project, coral_align, transform_samples
 from trot.errors import DimensionMismatchError, InsufficientDataError, InvalidSampleError, TrotError
 from trot.harness import (
+    DEFAULT_GRIDS,
     TaskSpec,
     default_grid,
     knn1_classify,
@@ -88,12 +89,12 @@ def reference_fit_method(method, hyper, source, validation, seed):
 
 
 def mixed_grid(method, points):
-    """(n_states, lambda, eta, tau) points, without the weights `method` does not take."""
-    takes_eta, takes_tau = method in ("otda", "trot"), method == "trot"
+    """(n_states, lambda, eta, tau) points, keeping only the fields `method`'s
+    `DEFAULT_GRIDS` entry searches (the rest stay at their defaults)."""
+    names = ("n_states", "entropy_weight", "group_weight", "order_weight")
     return tuple(
-        TrotHyperparams(entropy_weight=lam, group_weight=eta * takes_eta,
-                        order_weight=tau * takes_tau, n_states=n)
-        for n, lam, eta, tau in points
+        TrotHyperparams(**{name: v for name, v in zip(names, point) if name in DEFAULT_GRIDS[method]})
+        for point in points
     )
 
 
@@ -233,7 +234,7 @@ class TestRunTask:
     def test_report_holds_the_whole_grid_point(self, method):
         # the report once left out two fields of the setting it ran
         source, target = tiny_pair()
-        grid = (TrotHyperparams(entropy_weight=1.0, n_states=2),)
+        grid = mixed_grid(method, [(2, 1.0, 0.1, 1.0)])
         report = run_task(TaskSpec("s", "t", method, grid), source, target)
         assert report.to_dict()["chosen_hyper"] == asdict(report.chosen_hyper)
 
@@ -322,7 +323,7 @@ class TestRunTask:
     def test_spec_rejects_weights_the_method_ignores(self, method, weights, name):
         # ot once ran plain OT and reported the weight; otda died inside gcg_solve
         grid = (TrotHyperparams(), TrotHyperparams(**weights))
-        with pytest.raises(ValueError, match=f"{method} does not take {name} > 0"):
+        with pytest.raises(ValueError, match=f"{method} does not take {name} != 0.0"):
             TaskSpec("s", "t", method, grid)
 
     @pytest.mark.parametrize("method", ["ot", "otda", "trot"])
@@ -501,12 +502,41 @@ class TestRunMatrix:
             assert status[("t", method)] == ("failed", "target labels required for evaluation")
 
 
-class TestDefaultGrids:
-    def test_sizes(self):
-        assert len(default_grid("trot")) == 72
-        assert len(default_grid("otda")) == 9
-        assert len(default_grid("ot")) == 3
-        assert default_grid("na") == (None,)
+# each field a method may leave out of its DEFAULT_GRIDS entry: an off-default value and its flag
+OFF_DEFAULT = {"n_states": (2, "--states"), "order_mode": ("matched", "--order-mode"),
+               "group_weight": (1.0, "--eta"), "order_weight": (1.0, "--tau")}
 
-    def test_otda_has_no_order_weight(self):
-        assert all(h.order_weight == 0.0 for h in default_grid("otda"))
+
+class TestDefaultGrids:
+    def test_grids_point_by_point_in_search_order(self):
+        # validation ties go to the earliest point, so the order is part of every report
+        lams, etas, taus = (0.01, 0.1, 1.0), (0.0, 0.1, 1.0), (0.0, 0.1, 1.0, 10.0)
+        assert default_grid("ot") == tuple(TrotHyperparams(entropy_weight=lam) for lam in lams)
+        assert default_grid("otda") == tuple(
+            TrotHyperparams(entropy_weight=lam, group_weight=eta) for lam in lams for eta in etas
+        )
+        assert default_grid("trot") == tuple(
+            TrotHyperparams(entropy_weight=lam, group_weight=eta, order_weight=tau, n_states=n)
+            for n in (2, 4) for lam in lams for eta in etas for tau in taus
+        )
+        for method in ("na", "td", "coral"):
+            assert default_grid(method) == (None,)
+
+    @pytest.mark.parametrize(
+        "method, name",
+        [(m, name) for m, entry in DEFAULT_GRIDS.items() for name in OFF_DEFAULT if name not in entry],
+    )
+    def test_fields_a_method_does_not_search_are_refused(self, tmp_path, capsys, method, name):
+        # ot and otda once ran with any n_states or order_mode and reported it as chosen
+        from trot.cli import main
+        from trot.preprocess import save_features
+
+        value, flag = OFF_DEFAULT[name]
+        with pytest.raises(ValueError, match=f"{method} does not take {name}"):
+            TaskSpec("s", "t", method, (TrotHyperparams(entropy_weight=1.0, **{name: value}),))
+        for user, dataset in zip("st", tiny_pair()):
+            save_features(dataset, tmp_path / f"{user}.csv")
+        argv = ["adapt", "--source", str(tmp_path / "s.csv"), "--target", str(tmp_path / "t.csv"),
+                "--method", method, "--lambda", "1", flag, str(value)]
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "ValueError"

@@ -117,6 +117,19 @@ class TestTemporalReg:
         with pytest.raises(ValueError, match="unknown mode 'Matched'"):
             temporal_reg(gamma, self._groups(), "Matched")
 
+    @pytest.mark.parametrize("dtype", [int, float])
+    def test_mask_must_be_boolean(self, dtype):
+        # ~ of an int 0/1 mask is a bitwise not (-1, -2: both true), so every
+        # entry was once penalized; a float mask raised numpy's raw TypeError
+        gamma = np.array([[0.5, 0.0], [0.0, 0.5]])
+        mask = self._groups().astype(dtype)
+        message = f"boolean mask, got dtype {np.dtype(dtype)}"
+        with pytest.raises(ValueError, match=message):
+            temporal_reg(gamma, mask, "mismatched")
+        hyper = TrotHyperparams(entropy_weight=1.0, order_weight=1.0)
+        with pytest.raises(ValueError, match=message):
+            gcg_solve(np.full(2, 0.5), np.full(2, 0.5), np.ones((2, 2)), hyper, same_order=mask)
+
     def test_matched_sets_one_column_per_target_class(self):
         src = make_atlas(np.zeros((4, 2)), [0, 0, 1, 1], [1, 2, 1, 2])
         tgt = make_atlas(np.ones((4, 2)), [0, 0, 1, 1], [1, 2, 1, 2])

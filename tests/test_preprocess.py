@@ -640,6 +640,28 @@ class TestPipelineAndIO:
         with pytest.raises(DimensionMismatchError, match=r"got shape \(4, 0\) in uz.csv"):
             load_features(path)
 
+    def test_feature_file_window_index_out_of_order_names_the_file(self, tmp_path):
+        # once refused with "window_index must be strictly increasing" and no file named
+        path = tmp_path / "ug.csv"
+        path.write_text("window_index,label,f0\n0,0,1.0\n2,1,1.0\n1,0,1.0\n")
+        with pytest.raises(ValueError, match="window_index must be strictly increasing in ug.csv"):
+            load_features(path)
+
+    def test_feature_file_mixing_unlabelled_and_labelled_rows_rejected(self, tmp_path):
+        # labels 0, -1, 1 once loaded -1 as a third activity, which trot then fitted
+        path = tmp_path / "uh.csv"
+        path.write_text("window_index,label,f0\n0,0,1.0\n1,-1,1.0\n2,1,1.0\n")
+        with pytest.raises(InvalidSampleError, match="label -1 among labelled windows in uh.csv"):
+            load_features(path)
+        path.write_text("window_index,label,f0\n0,-1,1.0\n1,-1,1.0\n")
+        assert load_features(path).labels is None
+
+    def test_save_features_refuses_label_minus_one_in_a_labelled_dataset(self, tmp_path):
+        # such a file once loaded back with -1 as an activity
+        with pytest.raises(InvalidSampleError, match="label -1 marks unlabelled windows"):
+            save_features(make_dataset(np.zeros((3, 2)), labels=[0, -1, 1]), tmp_path / "ui.csv")
+        assert not (tmp_path / "ui.csv").exists()
+
     def test_labels_must_be_1d(self):
         # (n, 1) labels were once accepted; run_task then raised a TypeError for na
         with pytest.raises(DimensionMismatchError, match=r"label must be 1-D, got shape \(3, 1\)"):
