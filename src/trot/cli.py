@@ -28,7 +28,10 @@ log = logging.getLogger("trot")
 def _preprocess_one(path: Path, out: Path, rate: float, window_sec: float, overlap: float) -> int:
     """Segment and featurize one recording into `out`; return its window count."""
     recording = load_recording(path, rate)
-    dataset = build_features(recording, window_sec, overlap)
+    try:
+        dataset = build_features(recording, window_sec, overlap)
+    except TrotError as exc:  # such as a window whose majority label is -1
+        raise type(exc)(f"{exc} in {path.name}") from exc
     if len(dataset) == 0:  # `load_features` would refuse the header-only file
         raise InsufficientDataError(
             f"insufficient data: every window of {path.name} has a tied label count"

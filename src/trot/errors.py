@@ -1,4 +1,6 @@
-"""Exception types shared across the pipeline."""
+"""Exception types shared across the pipeline.  A `TrotError` is refused data
+or a failed computation, which `run_task` (per grid point) and `run_matrix`
+(per task) record as a failure; a bad argument is a `ValueError`."""
 
 
 class TrotError(Exception):

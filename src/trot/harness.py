@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .adapt import barycentric_map, barycentric_project, coral_align, transform_samples
-from .errors import DimensionMismatchError, InsufficientDataError, TrotError
+from .errors import InsufficientDataError, TrotError
 from .hmm import build_atlas
 from .ot_core import (
     TrotHyperparams,
@@ -109,7 +109,7 @@ class AdaptReport:
             "test_accuracy": self.test_accuracy,
             "objective_trace": None
             if self.objective_trace is None
-            else [float(v) for v in self.objective_trace],
+            else self.objective_trace.tolist(),
             "converged": self.converged,
             "predictions": self.predictions,
         }
@@ -140,8 +140,6 @@ def knn1_classify(train: FeatureDataset, query: FeatureDataset) -> np.ndarray:
         raise InsufficientDataError("insufficient data: empty training set")
     if train.labels is None:
         raise TrotError("training dataset has no labels")
-    if train.dim != query.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {train.dim} vs {query.dim}")
     return train.labels[nearest_rows(query.features, train.features)]
 
 
@@ -270,9 +268,9 @@ def run_task(
         converged=converged,
         timing=time.perf_counter() - start,
         predictions={
-            "window_index": [int(i) for i in test.window_index],
-            "true": [int(v) for v in test.labels],
-            "predicted": [int(v) for v in predicted],
+            "window_index": test.window_index.tolist(),
+            "true": test.labels.tolist(),
+            "predicted": predicted.tolist(),
         },
     )
 

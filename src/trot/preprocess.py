@@ -33,7 +33,12 @@ CHANNEL_NAMES = ("acc_x", "acc_y", "acc_z", "gyro_x", "gyro_y", "gyro_z")
 
 @dataclass(frozen=True)
 class Recording:
-    """One user's chronologically ordered sensor stream with per-sample labels."""
+    """One user's chronologically ordered sensor stream with per-sample labels.
+
+    The constructor refuses with a `TrotError` channels that are not finite
+    and (n >= 1, 6), and labels that are not n integers.  A label may be -1,
+    but no `FeatureDataset` takes a window whose majority label is -1.
+    """
 
     sample_rate: float
     channels: np.ndarray  # (n_samples, 6), column order CHANNEL_NAMES
@@ -44,13 +49,12 @@ class Recording:
         if not 0 < self.sample_rate < np.inf:
             raise ValueError("sample_rate must be finite and positive")
         object.__setattr__(self, "channels", np.asarray(self.channels, dtype=float))
-        if self.channels.ndim != 2 or self.channels.shape[1] != len(CHANNEL_NAMES):
-            raise ValueError("channels must be (n_samples, 6)")
+        shape = self.channels.shape
+        if len(shape) != 2 or shape[0] < 1 or shape[1] != len(CHANNEL_NAMES):
+            raise DimensionMismatchError(f"dimension mismatch: channels {shape}, not (n >= 1, 6)")
         if not np.all(np.isfinite(self.channels)):
             raise InvalidSampleError("invalid sample: non-finite channel value")
-        object.__setattr__(self, "labels", _int_array(self.labels, "label"))
-        if len(self.labels) != len(self.channels) or len(self.labels) < 1:
-            raise ValueError("labels must match channel length (>= 1)")
+        object.__setattr__(self, "labels", _int_array(self.labels, "label", shape[0]))
 
     def __len__(self):
         return len(self.channels)
@@ -72,6 +76,11 @@ class FeatureDataset:
     `window_index` keeps the position each window had in the segmented
     stream, so gaps mark discarded windows and temporal contiguity can be
     recovered downstream.
+
+    The constructor is the one check of a dataset's contents.  It refuses with
+    a `TrotError` features that are not finite and (n, d >= 1), a window_index
+    that is not n strictly increasing integers, and labels that are neither
+    None nor n integers other than -1, the feature file's unlabelled mark.
     """
 
     features: np.ndarray  # (n, d) float
@@ -89,15 +98,15 @@ class FeatureDataset:
             )
         if not np.all(np.isfinite(self.features)):
             raise InvalidSampleError("invalid sample: non-finite feature")
-        self.window_index = _int_array(self.window_index, "window_index")
+        self.window_index = _int_array(self.window_index, "window_index", len(self.features))
+        if np.any(np.diff(self.window_index) <= 0):
+            raise InvalidSampleError("invalid sample: window_index must be strictly increasing")
         if self.labels is not None:
-            self.labels = _int_array(self.labels, "label")
-            if len(self.labels) != len(self.features):
-                raise ValueError("labels length mismatch")
-        if len(self.window_index) != len(self.features):
-            raise ValueError("window_index length mismatch")
-        if len(self.window_index) > 1 and np.any(np.diff(self.window_index) <= 0):
-            raise ValueError("window_index must be strictly increasing")
+            self.labels = _int_array(self.labels, "label", len(self.features))
+            if np.any(self.labels == -1):
+                raise InvalidSampleError(
+                    "invalid sample: label -1 marks unlabelled windows; unlabelled is labels=None"
+                )
 
     def __len__(self):
         return len(self.features)
@@ -316,18 +325,17 @@ def _read_csv(path: Path, header_ok) -> np.ndarray:
     return data
 
 
-def _integral(x: np.ndarray) -> bool:
-    """True when every value is a finite integer that fits in int64."""
-    return bool(np.all((np.trunc(x) == x) & (np.abs(x) < 2.0**63)))
-
-
-def _int_array(values, name: str) -> np.ndarray:
-    """`values` as a 1-D int array; values of a non-integer dtype must pass `_integral`."""
+def _int_array(values, name: str, rows: int) -> np.ndarray:
+    """`values` as an int array of shape (rows,); values of a non-integer dtype
+    must be finite integers that fit in int64."""
     values = np.asarray(values)
     if values.ndim != 1:
         raise DimensionMismatchError(f"dimension mismatch: {name} must be 1-D, got shape {values.shape}")
-    if values.dtype.kind not in "iu" and not _integral(values):
-        raise InvalidSampleError(f"invalid sample: non-integral {name}")
+    if len(values) != rows:
+        raise DimensionMismatchError(f"dimension mismatch: {len(values)} {name} values for {rows} rows")
+    if values.dtype.kind not in "iu":
+        if not np.all((np.trunc(values) == values) & (np.abs(values) < 2.0**63)):
+            raise InvalidSampleError(f"invalid sample: non-integral {name}")
     return values.astype(int, copy=False)
 
 
@@ -343,21 +351,15 @@ def load_recording(path, sample_rate: float, user_id: str | None = None) -> Reco
     user_id = user_id if user_id is not None else path.stem
     try:
         return Recording(sample_rate, data[:, 1:7], data[:, 7], user_id)
-    except InvalidSampleError as exc:  # a non-finite channel value or a non-integral label
-        raise InvalidSampleError(f"{exc} in {path.name}") from exc
+    except TrotError as exc:
+        raise type(exc)(f"{exc} in {path.name}") from exc
 
 
 def save_features(dataset: FeatureDataset, path) -> None:
     """Write `window_index,label,f0..f{d-1}` CSV (label -1 when unlabeled).
 
     Features go out as Python floats, whose `%s` is `repr(float)`, and rows
-    end in CRLF, so the bytes are those a `csv.writer` row loop gives.  A
-    labelled dataset holding label -1 is refused: the file could not say
-    which of its windows are unlabelled."""
-    if dataset.labels is not None and np.any(dataset.labels == -1):
-        raise InvalidSampleError(
-            f"invalid sample: label -1 marks unlabelled windows, not written to {Path(path).name}"
-        )
+    end in CRLF, so the bytes are those a `csv.writer` row loop gives."""
     labels = dataset.labels if dataset.labels is not None else np.full(len(dataset), -1)
     header = ",".join(["window_index", "label", *(f"f{i}" for i in range(dataset.dim))])
     with open(path, "w", newline="") as fh:
@@ -370,19 +372,12 @@ def save_features(dataset: FeatureDataset, path) -> None:
 
 def load_features(path, user_id: str | None = None) -> FeatureDataset:
     """Read a feature CSV written by `save_features`: label -1 on every row
-    means unlabelled, on some rows only it is refused."""
+    means unlabelled.  `FeatureDataset` checks the contents."""
     path = Path(path)
     data = _read_csv(path, lambda header: header[:2] == ["window_index", "label"])
-    if not _integral(data[:, :2]):
-        raise InvalidSampleError(f"invalid sample: non-integral window_index or label in {path.name}")
-    if not np.all(np.isfinite(data[:, 2:])):
-        raise InvalidSampleError(f"invalid sample: non-finite feature in {path.name}")
-    index, labels = data[:, :2].astype(int).T
-    unlabelled = labels == -1
-    if unlabelled.any() and not unlabelled.all():
-        raise InvalidSampleError(f"invalid sample: label -1 among labelled windows in {path.name}")
+    labels = None if np.all(data[:, 1] == -1) else data[:, 1]
     user_id = user_id if user_id is not None else path.stem
     try:
-        return FeatureDataset(data[:, 2:], None if unlabelled.all() else labels, index, user_id)
-    except (TrotError, ValueError) as exc:  # no feature column, window_index out of order
+        return FeatureDataset(data[:, 2:], labels, data[:, 0], user_id)
+    except TrotError as exc:
         raise type(exc)(f"{exc} in {path.name}") from exc

@@ -130,6 +130,20 @@ def test_preprocess_reports_first_failing_recording(recordings_dir, tmp_path, ca
     assert not (out / "userAB.csv").exists() and not (out / "userBB.csv").exists()
 
 
+def test_preprocess_refuses_windows_labelled_minus_one(recording_dir, tmp_path, capsys):
+    # -1 marks an unlabelled window in a feature file, so it cannot be written as an activity
+    lines = ["timestamp,acc_x,acc_y,acc_z,gyro_x,gyro_y,gyro_z,label"]
+    lines += [f"{i / 30},1,2,2,0.1,0.2,0.2,-1" for i in range(180)]
+    (recording_dir / "userU.csv").write_text("\n".join(lines))
+    out = tmp_path / "feats"
+    assert main(["preprocess", "--input", str(recording_dir), "--rate", "30",
+                 "--out", str(out)]) == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "InvalidSampleError"
+    assert "label -1" in payload["message"] and "userU.csv" in payload["message"]
+    assert not (out / "userU.csv").exists()
+
+
 def test_adapt_loads_no_process_pool(tmp_path):
     # only `trot preprocess` needs a pool, and nothing needs `numpy.ma`, which
     # `np.unique` imports unless asked for inverse or counts; importing either

@@ -348,6 +348,15 @@ class TestRunTask:
         assert report.error == f"source labels required for {method}"
         assert report.test_accuracy is None
 
+    def test_source_labelled_minus_one_refused_before_run_task(self):
+        # every 7th label -1 once failed all 72 trot grid points with
+        # "some states received no windows", which does not mention -1
+        source, _ = tiny_pair()
+        labels = source.labels.copy()
+        labels[::7] = -1
+        with pytest.raises(InvalidSampleError, match="label -1 marks unlabelled windows.*labels=None"):
+            source.with_labels(labels)
+
     def test_predictions_cover_test_half_only(self):
         source, target = tiny_pair()
         report = run_task(TaskSpec("s", "t", "na"), source, target)

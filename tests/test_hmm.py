@@ -212,7 +212,9 @@ def labelled_streams(draw):
     blocks, round robin or shuffled, with optional gaps in `window_index`, or
     in blocks that each hold one long run among one-window runs."""
     n_classes = draw(st.integers(1, 4))
-    values = draw(st.lists(st.integers(-3, 9), min_size=n_classes, max_size=n_classes, unique=True))
+    # -1 marks an unlabelled window, which FeatureDataset refuses as a label
+    values = draw(st.lists(st.integers(-3, 9).filter(lambda v: v != -1),
+                           min_size=n_classes, max_size=n_classes, unique=True))
     sizes = draw(st.lists(st.integers(1, 12), min_size=n_classes, max_size=n_classes))
     layout = draw(st.sampled_from(["blocks", "round_robin", "shuffled", "long_run"]))
     gap_rate = draw(st.sampled_from([0.0, 0.1, 0.4]))

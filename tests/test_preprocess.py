@@ -12,6 +12,7 @@ from trot.errors import (
     InvalidOverlapError,
     InvalidSampleError,
     ScalerMismatchError,
+    TrotError,
 )
 from trot.preprocess import (
     FeatureDataset,
@@ -641,17 +642,18 @@ class TestPipelineAndIO:
             load_features(path)
 
     def test_feature_file_window_index_out_of_order_names_the_file(self, tmp_path):
-        # once refused with "window_index must be strictly increasing" and no file named
+        # once refused with "window_index must be strictly increasing" and no file named,
+        # then as a ValueError
         path = tmp_path / "ug.csv"
         path.write_text("window_index,label,f0\n0,0,1.0\n2,1,1.0\n1,0,1.0\n")
-        with pytest.raises(ValueError, match="window_index must be strictly increasing in ug.csv"):
+        with pytest.raises(InvalidSampleError, match="window_index must be strictly increasing in ug.csv"):
             load_features(path)
 
     def test_feature_file_mixing_unlabelled_and_labelled_rows_rejected(self, tmp_path):
         # labels 0, -1, 1 once loaded -1 as a third activity, which trot then fitted
         path = tmp_path / "uh.csv"
         path.write_text("window_index,label,f0\n0,0,1.0\n1,-1,1.0\n2,1,1.0\n")
-        with pytest.raises(InvalidSampleError, match="label -1 among labelled windows in uh.csv"):
+        with pytest.raises(InvalidSampleError, match="label -1 marks unlabelled windows.* in uh.csv"):
             load_features(path)
         path.write_text("window_index,label,f0\n0,-1,1.0\n1,-1,1.0\n")
         assert load_features(path).labels is None
@@ -673,8 +675,28 @@ class TestPipelineAndIO:
             FeatureDataset(np.zeros((3, 2)), np.zeros(3, dtype=int), np.arange(3)[:, None])
 
     def test_window_index_must_increase(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSampleError, match="window_index must be strictly increasing"):
             FeatureDataset(np.zeros((2, 3)), None, np.array([1, 1]))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: FeatureDataset(np.zeros((3, 2)), [0, 1], np.arange(3)),
+            lambda: FeatureDataset(np.zeros((3, 2)), None, np.arange(4)),
+            lambda: FeatureDataset(np.zeros((3, 2)), None, [0, 2, 1]),
+            lambda: FeatureDataset(np.zeros((3, 2)), [0, -1, 1], np.arange(3)),
+            lambda: Recording(30.0, np.zeros((3, 5)), np.zeros(3, dtype=int)),
+            lambda: Recording(30.0, np.zeros(6), np.zeros(1, dtype=int)),
+            lambda: Recording(30.0, np.zeros((0, 6)), np.zeros(0, dtype=int)),
+            lambda: Recording(30.0, np.zeros((3, 6)), np.zeros(2, dtype=int)),
+        ],
+        ids=["labels length", "window_index length", "window_index order", "label -1",
+             "channel columns", "1-D channels", "no samples", "recording labels length"],
+    )
+    def test_malformed_in_memory_contents_raise_trot_errors(self, make):
+        # each but the -1 label was once a plain ValueError, which run_task does not record
+        with pytest.raises(TrotError):
+            make()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_in_memory_dataset_rejected(self, value):
