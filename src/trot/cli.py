@@ -7,7 +7,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -125,16 +125,8 @@ def _cmd_synth(args) -> int:
         raise ValueError(f"--users must be >= 1, got {args.users}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    spec = SynthSpec(
-        n_classes=args.classes,
-        n_states=args.states,
-        windows_per_class=args.windows,
-        feature_dim=args.dim,
-        class_separation=args.class_sep,
-        state_separation=args.state_sep,
-        noise_std=args.noise,
-        seed=args.seed,
-    )
+    given = {f.name: getattr(args, f.name) for f in fields(SynthSpec) if hasattr(args, f.name)}
+    spec = SynthSpec(**given)
     rng = np.random.default_rng(spec.seed)
     for i in range(args.users):
         shift = None if i == 0 else adversarial_user_shift(spec, scale=i * args.shift_scale)
@@ -186,13 +178,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_matrix)
 
     p = sub.add_parser("synth", help="generate synthetic benchmark users")
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--states", type=int, default=4)
-    p.add_argument("--windows", type=int, default=200, help="windows per class per user")
-    p.add_argument("--dim", type=int, default=8)
-    p.add_argument("--class-sep", type=float, default=4.0)
-    p.add_argument("--state-sep", type=float, default=4.0)
-    p.add_argument("--noise", type=float, default=0.25)
+    # SynthSpec's field names; a flag not given takes SynthSpec's default, except --seed
+    p.add_argument("--classes", dest="n_classes", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--states", dest="n_states", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--windows", dest="windows_per_class", type=int, default=argparse.SUPPRESS,
+                   help="windows per class per user")
+    p.add_argument("--dim", dest="feature_dim", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--class-sep", dest="class_separation", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--state-sep", dest="state_separation", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--noise", dest="noise_std", type=float, default=argparse.SUPPRESS)
     p.add_argument("--shift-scale", type=float, default=1.0,
                    help="user i is translated by i*scale times the alternating class shift")
     p.add_argument("--users", type=int, default=2)

@@ -1,6 +1,7 @@
 """Exception types shared across the pipeline.  A `TrotError` is refused data
-or a failed computation, which `run_task` (per grid point) and `run_matrix`
-(per task) record as a failure; a bad argument is a `ValueError`."""
+or a failed computation.  `run_task` records a grid point's `TrotError` in
+its joined message and a task's `TrotError` as the report's `error`; a bad
+argument is a `ValueError`."""
 
 
 class TrotError(Exception):

@@ -222,43 +222,42 @@ def run_task(
     """Run one method on one directed user pair under the evaluation protocol.
 
     Grid search sees only the validation half; the reported test accuracy is
-    computed once with the selected hyperparameters.  Failures of individual
-    grid points (or of the whole task) are recorded, not raised.
+    computed once with the selected hyperparameters.  No `TrotError` escapes:
+    a task's is the report's `error`, and a grid point's is recorded in the
+    joined message that is the `error` when every point fails.  A bad
+    argument (`ValueError`) still raises.
     """
     start = time.perf_counter()
-    scaler = fit_maxabs(source_data)
-    source = maxabs_fit_apply(source_data, scaler)
-    target = maxabs_fit_apply(target_data, scaler)
-    validation, test = temporal_split(target)
-    if validation.labels is None or test.labels is None:
-        return AdaptReport(spec, error="target labels required for evaluation",
-                           timing=time.perf_counter() - start)
-    if source.labels is None and spec.method != "td":
-        return AdaptReport(spec, error=f"source labels required for {spec.method}",
-                           timing=time.perf_counter() - start)
+    try:
+        scaler = fit_maxabs(source_data)
+        source = maxabs_fit_apply(source_data, scaler)
+        target = maxabs_fit_apply(target_data, scaler)
+        validation, test = temporal_split(target)
+        if validation.labels is None or test.labels is None:
+            raise TrotError("target labels required for evaluation")
+        if source.labels is None and spec.method != "td":
+            raise TrotError(f"source labels required for {spec.method}")
 
-    grid = spec.hyper_grid if spec.hyper_grid is not None else default_grid(spec.method)
-    solve = _solver(spec.method, source, validation, spec.seed)
-    best = None
-    failures = []
-    for hyper in grid:
-        try:
-            train, trace, converged = solve(hyper)
-            val_acc = _accuracy(knn1_classify(train, validation), validation.labels)
-        except TrotError as exc:
-            failures.append(str(exc))
-            continue
-        if best is None or val_acc > best[0]:
-            best = (val_acc, hyper, train, trace, converged)
-    if best is None:
-        return AdaptReport(
-            spec,
-            error=_join_failures(failures) or "no hyperparameters evaluated",
-            timing=time.perf_counter() - start,
-        )
+        grid = spec.hyper_grid if spec.hyper_grid is not None else default_grid(spec.method)
+        solve = _solver(spec.method, source, validation, spec.seed)
+        best = None
+        failures = []
+        for hyper in grid:
+            try:
+                train, trace, converged = solve(hyper)
+                val_acc = _accuracy(knn1_classify(train, validation), validation.labels)
+            except TrotError as exc:
+                failures.append(str(exc))
+                continue
+            if best is None or val_acc > best[0]:
+                best = (val_acc, hyper, train, trace, converged)
+        if best is None:
+            raise TrotError(_join_failures(failures) or "no hyperparameters evaluated")
 
-    val_acc, hyper, train, trace, converged = best
-    predicted = knn1_classify(train, test)
+        val_acc, hyper, train, trace, converged = best
+        predicted = knn1_classify(train, test)
+    except TrotError as exc:
+        return AdaptReport(spec, error=str(exc), timing=time.perf_counter() - start)
     return AdaptReport(
         task=spec,
         chosen_hyper=hyper,
@@ -294,7 +293,9 @@ def run_matrix(
     mapping {user: FeatureDataset}.  `grids` optionally overrides the default
     hyperparameter grid per method.  Users without data are listed as skipped.
     The method list, the `grids` keys and the user list (neither list may
-    name anything twice) are checked before any data is loaded.
+    name anything twice) are checked before any data is loaded.  A task that
+    fails is a failed entry: `run_task` records a grid point's `TrotError` in
+    its joined message and a task's `TrotError` as the report's `error`.
     """
     methods = [m.lower() for m in methods]
     if not methods:
@@ -329,10 +330,7 @@ def run_matrix(
     tasks = []
     table: dict[str, dict[str, float | None]] = {method: {} for method in methods}
     for spec in specs:
-        try:
-            report = run_task(spec, datasets[spec.source_user], datasets[spec.target_user])
-        except TrotError as exc:
-            report = AdaptReport(spec, error=str(exc))
+        report = run_task(spec, datasets[spec.source_user], datasets[spec.target_user])
         tasks.append(report.to_dict())
         table[spec.method][f"{spec.source_user}->{spec.target_user}"] = report.test_accuracy
     return {

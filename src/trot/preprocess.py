@@ -246,12 +246,12 @@ def sensor_features(x: np.ndarray) -> np.ndarray:
         raise InsufficientDataError("insufficient data: window shorter than 2 samples")
     if not np.all(np.isfinite(x)):
         raise InvalidSampleError("invalid sample: non-finite value in window")
-    mean, var, std, _, _ = _moments(x)
+    mean, var = x.mean(axis=-1), x.var(axis=-1)
     lo, hi = x.min(axis=-1), x.max(axis=-1)
     amplitude = np.abs(x - mean[..., None])
     spectrum = np.abs(np.fft.rfft(x - x[..., :1], axis=-1))[..., 1:]
     # the last of the nine is the DC component: zero-frequency bin / n = mean
-    signal = [mean, var, std, _mode(x), hi, lo, _mean_crossing_rate(x), hi - lo, mean]
+    signal = [mean, var, np.sqrt(var), _mode(x), hi, lo, _mean_crossing_rate(x), hi - lo, mean]
     return np.stack([*signal, *_moments(amplitude), *_moments(spectrum)], axis=-1)
 
 

@@ -262,6 +262,35 @@ def test_adapt_rejects_unusable_setting(tmp_path, capsys, flags, message):
     assert not report.exists()
 
 
+def test_adapt_writes_the_report_of_a_failed_task(tmp_path, capsys):
+    # a 2- versus 3-feature pair once raised ScalerMismatchError before any report was written
+    data = tmp_path / "synth"
+    assert main(["synth", "--classes", "2", "--states", "2", "--windows", "12", "--dim", "2",
+                 "--out", str(data)]) == 0
+    wide = load_features(data / "user1.csv")
+    save_features(replace(wide, features=np.hstack([wide.features, wide.features[:, :1]])),
+                  data / "wide.csv")
+    report = tmp_path / "r.json"
+    assert main(["adapt", "--source", str(data / "user0.csv"), "--target", str(data / "wide.csv"),
+                 "--method", "na", "--report", str(report)]) == 1
+    message = "scaler mismatch: (2,) vs 3 features"
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"error": "TrotError", "message": message}
+    written = json.loads(report.read_text())
+    assert (written["status"], written["error"]) == ("failed", message)
+
+
+def test_synth_defaults_are_synthspec_defaults(tmp_path):
+    defaults, given = tmp_path / "defaults", tmp_path / "given"
+    assert main(["synth", "--out", str(defaults)]) == 0
+    assert main(["synth", "--classes", "4", "--states", "4", "--windows", "200", "--dim", "8",
+                 "--class-sep", "4.0", "--state-sep", "4.0", "--noise", "0.25",
+                 "--shift-scale", "1.0", "--users", "2", "--seed", "7", "--out", str(given)]) == 0
+    names = sorted(p.name for p in defaults.iterdir())
+    assert names == ["user0.csv", "user1.csv"] == sorted(p.name for p in given.iterdir())
+    assert all((defaults / n).read_bytes() == (given / n).read_bytes() for n in names)
+
+
 @pytest.mark.parametrize("users", ["0", "-2"])
 def test_synth_rejects_user_count_below_one(tmp_path, capsys, users):
     # once exited 0 having written nothing

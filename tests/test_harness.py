@@ -13,6 +13,7 @@ from trot.adapt import barycentric_map, barycentric_project, coral_align, transf
 from trot.errors import DimensionMismatchError, InsufficientDataError, InvalidSampleError, TrotError
 from trot.harness import (
     DEFAULT_GRIDS,
+    AdaptReport,
     TaskSpec,
     default_grid,
     knn1_classify,
@@ -51,6 +52,11 @@ def tiny_pair(seed=5):
     spec.user_shift = adversarial_user_shift(spec)
     source, target, _ = generate_pair(spec)
     return source, target
+
+
+def with_third_feature(dataset):
+    """`dataset` with its first feature column repeated as a third column."""
+    return replace(dataset, features=np.hstack([dataset.features, dataset.features[:, :1]]))
 
 
 def reference_fit_method(method, hyper, source, validation, seed):
@@ -270,15 +276,35 @@ class TestRunTask:
         assert first.endswith("< 50 states (\u00d72)")
         assert second.endswith("< 60 states")
 
-    def test_non_finite_source_feature_raises(self):
+    def test_non_finite_source_feature_fails_the_task(self):
         # a NaN cell once scaled its column to NaN for both users, and na
         # still reported accuracy 0.5
         source, target = tiny_pair()
         source.features[3, 0] = np.nan
-        with pytest.raises(InvalidSampleError, match="non-finite"):
-            run_task(TaskSpec("s", "t", "na"), source, target)
+        report = run_task(TaskSpec("s", "t", "na"), source, target)
+        assert report.error == "invalid sample: non-finite feature"
         matrix = run_matrix({"s": source, "t": target}, methods=["na", "coral", "td"])
         assert all(task["status"] == "failed" for task in matrix["tasks"])
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("three features", "scaler mismatch: (2,) vs 3 features"),
+            ("one window", "insufficient data: need at least 2 windows to split"),
+        ],
+    )
+    @pytest.mark.parametrize("method", ["na", "trot"])
+    def test_task_level_error_is_a_failed_report(self, case, message, method):
+        # each once raised out of run_task, so `trot adapt --report` wrote nothing
+        source, target = tiny_pair()
+        if case == "three features":
+            target = with_third_feature(target)
+        else:
+            target = target.subset(np.arange(1))
+        report = run_task(TaskSpec("s", "t", method), source, target)
+        assert report.to_dict() == {**AdaptReport(report.task).to_dict(), "status": "failed",
+                                    "error": message}
+        assert report.timing > 0
 
     @pytest.mark.parametrize(
         "method, points",
@@ -494,6 +520,21 @@ class TestRunMatrix:
         with pytest.raises(TrotError, match="unknown methods: tort"):
             run_matrix(self._three_users(), methods=["trot"], grids={"tort": default_grid("trot")})
         assert ran == []
+
+    def test_mismatched_features_fail_each_task_as_before(self):
+        source, target = tiny_pair()
+        target = with_third_feature(target)
+        report = run_matrix({"s": source, "t": target}, methods=["na", "coral", "trot"])
+        empty = dict.fromkeys(
+            ("chosen_hyper", "validation_accuracy", "test_accuracy", "objective_trace",
+             "converged", "predictions")
+        )
+        assert report["tasks"] == [
+            {"source": src, "target": tgt, "method": method, "status": "failed",
+             "error": f"scaler mismatch: ({fit},) vs {applied} features", **empty}
+            for method in ("na", "coral", "trot")
+            for src, tgt, fit, applied in (("s", "t", 2, 3), ("t", "s", 3, 2))
+        ]
 
     def test_unlabeled_source_fails_its_tasks_not_the_matrix(self):
         # otda's eta > 0 grid points once raised ValueError from gcg_solve and
